@@ -6,9 +6,8 @@ with integer valuations at places, graded slices of two-generator ideals,
 degree-level (slope) Nevanlinna quantities, Wronskian inequalities, and
 closed-form slopes for exponential units with quadratic-field frequencies.
 
-Hot polynomial kernels (primitive-remainder gcd, fraction-free rank) run
-through a compiled extension when it is available and a pure-Python twin
-otherwise; ``torigcd.kernel.BACKEND`` names the active one.
+Hot polynomial kernels (heuristic integer gcd with a primitive-remainder
+fallback, fraction-free rank) live in ``torigcd.kernel``.
 """
 
 from .errors import HypothesisError, ParseError

@@ -149,6 +149,11 @@ def _cmd_identities(args) -> int:
 
 
 def _cmd_gcd_sweep(args) -> int:
+    if args.kmin < 1 or args.kstep < 1 or args.kmax < args.kmin:
+        raise _UsageError("gcd-sweep: need 1 <= --kmin <= --kmax and --kstep >= 1")
+    epsilon = parse_rational(args.epsilon)
+    if epsilon <= 0:
+        raise _UsageError("gcd-sweep: --epsilon must be positive")
     nvars = len(args.g)
     cfg = SweepConfig(
         F=parse_multipoly(args.F, nvars, first_index=1),
@@ -157,7 +162,7 @@ def _cmd_gcd_sweep(args) -> int:
         k_min=args.kmin,
         k_max=args.kmax,
         k_step=args.kstep,
-        epsilon=parse_rational(args.epsilon),
+        epsilon=epsilon,
     )
     result = gcd_sweep(cfg) if args.track == "n" else tgcd_sweep(cfg)
     rows = [(r.k, r.gcd_degree, r.scale, r.ratio) for r in result.rows]

@@ -1,42 +1,20 @@
-"""Integer polynomial kernel with compiled and pure-Python backends.
+"""Integer polynomial kernel over dense little-endian int lists.
 
-The compiled extension (built from _intpoly.pyx) is preferred when importable;
-setting TORIGCD_PURE=1 in the environment forces the pure backend.  Both
-backends expose identical functions over dense little-endian int lists.
+The routines live in intpoly_py; this package re-exports them so callers
+write ``kernel.gcd``.  ``BACKEND`` names the implementation ("pure") and is
+stamped into benchmark records.
 """
 
 from __future__ import annotations
 
-import os
+from .intpoly_py import (
+    bareiss_rank,
+    content,
+    gcd,
+    mul,
+    normalize,
+    primitive_part,
+    pseudo_rem,
+)
 
-from . import intpoly_py
-
-
-def load_backend(name: str):
-    """Return the backend module for 'pure' or 'compiled'; raise if unavailable."""
-    if name == "pure":
-        return intpoly_py
-    if name == "compiled":
-        from . import _intpoly
-
-        return _intpoly
-    raise ValueError(f"unknown kernel backend {name!r}")
-
-
-if os.environ.get("TORIGCD_PURE"):
-    _impl = intpoly_py
-else:
-    try:
-        from . import _intpoly as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = intpoly_py
-
-BACKEND = "pure" if _impl is intpoly_py else "compiled"
-
-normalize = _impl.normalize
-mul = _impl.mul
-content = _impl.content
-primitive_part = _impl.primitive_part
-pseudo_rem = _impl.pseudo_rem
-gcd = _impl.gcd
-bareiss_rank = _impl.bareiss_rank
+BACKEND = "pure"

@@ -291,7 +291,9 @@ def substitute(
         top = F.degree_in(axis)
         cache = [RationalFunction.constant(1)]
         for _ in range(max(top, 0)):
-            cache.append(cache[-1] * h)
+            # h is reduced, so each power of it is too
+            prev = cache[-1]
+            cache.append(RationalFunction._coprime(prev.num * h.num, prev.den * h.den))
         powers.append(cache)
     acc = RationalFunction.constant(0)
     for exp, coeff in F.sorted_terms():

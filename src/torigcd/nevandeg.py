@@ -301,9 +301,18 @@ def _run_sweep(cfg: SweepConfig, track: str) -> SweepResult:
     _sweep_gates(cfg, track)
     scale_unit = max(char_slope(g) for g in cfg.gs)
     rows: List[SweepRow] = []
+    # hs = [g**k for g in gs], advanced by one product per row; the factors
+    # are powers of the same reduced g, so the products need no gcd
+    step = [g**cfg.k_step for g in cfg.gs]
+    hs = [g**cfg.k_min for g in cfg.gs]
     for k in range(cfg.k_min, cfg.k_max + 1, cfg.k_step):
-        f = substitute(cfg.F, cfg.gs, k)
-        g = substitute(cfg.G, cfg.gs, k)
+        if k > cfg.k_min:
+            hs = [
+                RationalFunction._coprime(h.num * s.num, h.den * s.den)
+                for h, s in zip(hs, step)
+            ]
+        f = substitute(cfg.F, hs)
+        g = substitute(cfg.G, hs)
         if f.is_zero() or g.is_zero():
             raise HypothesisError(
                 "a composed function vanishes identically", {"k": k}

@@ -53,6 +53,14 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    @classmethod
+    def _coprime(cls, num: UniPoly, den: UniPoly) -> "RationalFunction":
+        """num/den without the gcd: the caller knows they are coprime and den is monic."""
+        rf = object.__new__(cls)
+        object.__setattr__(rf, "num", num)
+        object.__setattr__(rf, "den", den)
+        return rf
+
     @staticmethod
     def constant(c: Scalar) -> "RationalFunction":
         return RationalFunction(UniPoly.constant(c))
@@ -131,11 +139,15 @@ class RationalFunction:
         return other / self
 
     def __pow__(self, k: int) -> "RationalFunction":
+        # powers of a coprime pair stay coprime, and of a monic den stay monic
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            return RationalFunction(self.den**-k, self.num**-k)
-        return RationalFunction(self.num**k, self.den**k)
+            lc = self.num.lc
+            return RationalFunction._coprime(self.den / lc, self.num / lc) ** -k
+        if k == 1:
+            return self
+        return RationalFunction._coprime(self.num**k, self.den**k)
 
     def derivative(self) -> "RationalFunction":
         return RationalFunction(

@@ -46,7 +46,7 @@ from torigcd.randgen import (
     random_unipoly,
     random_weight_order,
 )
-from torigcd.ratfunc import Place, RationalFunction, coprime_basis
+from torigcd.ratfunc import Place, RationalFunction, coprime_basis, valuation
 from torigcd.unipoly import UniPoly, uni_gcd
 from torigcd.wronskian import bs_check, ordw_check, wronskian
 
@@ -234,10 +234,23 @@ def test_criterion_08_wronskian_order_inequality():
         # refine against W too: valuations at compound squarefree places are
         # rejected unless the place divides every factorization exactly
         basis = coprime_basis([p for f in fs for p in (f.num, f.den)] + [w.num, w.den])
-        for b in basis:
-            ok = ok and ordw_check(fs, Place.finite(b)).passed
+        for pl in [Place.finite(b) for b in basis] + [Place.infinity()]:
+            # the untruncated lemma holds everywhere; the truncated
+            # inequality only where no f_j has a pole
+            vs = [valuation(f, pl) for f in fs]
+            ok = ok and valuation(w, pl) >= sum(vs) - M * (M - 1) // 2
+            if min(vs) >= 0:
+                ok = ok and ordw_check(fs, pl).passed
     eq = ordw_check([parse_ratfunc("z^2"), parse_ratfunc("z^3")], Place.finite(parse_unipoly("z")))
     ok = ok and eq.lhs == eq.rhs == 4
+    pole = ordw_check(
+        [
+            parse_ratfunc("(-1/2*z+1/2)/(z^3+1/2*z^2-1/2*z)"),
+            parse_ratfunc("(2/3*z^3+z^2)/(z^2-2/3*z-1/3)"),
+        ],
+        Place.finite(parse_unipoly("z")),
+    )
+    ok = ok and (pole.lhs, pole.rhs, pole.passed) == (1, 0, False)
     _report(8, ok)
     assert ok
 

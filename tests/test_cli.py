@@ -44,6 +44,24 @@ def test_usage_errors():
     assert run(BASIS + ["--bogus"]) == 3
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--kstep", "0"],
+        ["--kstep", "-2"],
+        ["--kmin", "0"],
+        ["--kmin", "5", "--kmax", "4"],
+        ["--epsilon", "0"],
+        ["--epsilon", "-1/3"],
+    ],
+)
+def test_sweep_bad_range_is_usage_error(extra, capsys):
+    assert run(SWEEP + extra) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gcd-sweep" in captured.err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["basis", "--help"]) == 0

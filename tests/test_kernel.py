@@ -1,21 +1,16 @@
-"""Both kernel backends against rational-arithmetic oracles."""
+"""The integer kernel against rational-arithmetic oracles."""
 
-import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torigcd.kernel import load_backend
-
-BACKENDS = [load_backend("pure")]
-try:
-    BACKENDS.append(load_backend("compiled"))
-except ImportError:
-    pass
+from torigcd.kernel import intpoly_py
 
 
-@pytest.fixture(params=BACKENDS, ids=lambda b: b.__name__.rsplit(".", 1)[-1])
+@pytest.fixture(params=[intpoly_py], ids=lambda b: b.__name__.rsplit(".", 1)[-1])
 def backend(request):
     return request.param
 
@@ -159,19 +154,70 @@ def test_bareiss_rank_rectangular_and_deficient(backend):
     assert backend.bareiss_rank([[0, 0], [0, 0]]) == 0
 
 
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend unavailable")
-def test_backends_agree_on_random_inputs():
-    pure, compiled = BACKENDS[0], BACKENDS[1]
-    rng = random.Random(73)
-    for _ in range(200):
-        f = _rand_poly(rng, 9)
-        g = _rand_poly(rng, 9)
-        assert pure.normalize(f) == compiled.normalize(f)
-        assert pure.mul(f, g) == compiled.mul(f, g)
-        nf, ng = pure.normalize(f), pure.normalize(g)
-        if nf or ng:
-            assert pure.gcd(nf, ng) == compiled.gcd(nf, ng)
-        rows = [[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)]
-        assert pure.bareiss_rank([r[:] for r in rows]) == compiled.bareiss_rank(
-            [r[:] for r in rows]
-        )
+def _prs_reference(f, g):
+    """kernel.gcd(f, g) as the primitive PRS alone computes it."""
+    return intpoly_py._prs_gcd(intpoly_py.primitive_part(f), intpoly_py.primitive_part(g))
+
+
+def _poly(coeff):
+    return st.lists(coeff, max_size=8).map(intpoly_py.normalize)
+
+
+small = st.integers(-9, 9)
+huge = st.integers(-(2**400), 2**400)
+
+
+@given(st.sampled_from([small, huge]).flatmap(lambda c: st.tuples(_poly(c), _poly(c), _poly(c))))
+@settings(max_examples=300, deadline=None)
+def test_heuristic_gcd_equals_prs_on_shared_inputs(polys):
+    w, p, q = polys
+    f, g = intpoly_py.mul(w, p), intpoly_py.mul(w, q)
+    if not f and not g:
+        return
+    h = intpoly_py.gcd(f, g)
+    assert h == _prs_reference(f, g)
+    assert h[-1] > 0 and intpoly_py.content(h) == 1
+    if f and g and w:
+        # gcd(w*p, w*q) = pp(w) * gcd(p, q)
+        assert h == intpoly_py.primitive_part(intpoly_py.mul(w, intpoly_py.gcd(p, q)))
+
+
+@given(st.sampled_from([small, huge]).flatmap(lambda c: st.tuples(_poly(c), _poly(c))))
+@settings(max_examples=300, deadline=None)
+def test_heuristic_gcd_equals_prs_on_walk_inputs(pair):
+    f, g = pair
+    if not f and not g:
+        return
+    h = intpoly_py.gcd(f, g)
+    assert h == _prs_reference(f, g)
+    assert [Fraction(x, h[-1]) for x in h] == _frac_gcd_monic(f, g)
+
+
+def test_gcd_zero_constant_and_sign_cases():
+    gcd = intpoly_py.gcd
+    with pytest.raises(ZeroDivisionError):
+        gcd([], [])
+    assert gcd([], [4, -6, -2]) == [-2, 3, 1]
+    assert gcd([-6, 0, 3], []) == [-2, 0, 1]
+    assert gcd([-7], [1, 2, 3]) == [1]
+    assert gcd([5, 1], [2**300]) == [1]
+    assert gcd([-7], []) == [1]
+    # negative leading coefficients: (x-1)(-2x+3) and -(x-1)(x+5)
+    assert gcd([-3, 5, -2], [5, -4, -1]) == [-1, 1]
+    big = 2**333 + 1
+    assert gcd([big, -big], [-big, 0, big]) == [-1, 1]
+
+
+def test_gcd_falls_back_to_prs_when_every_point_fails():
+    # b = x^2 + 1 and a = b + prod(x - x_i) over the points GCDHEU tries:
+    # a(x_i) = b(x_i) for each of them, so each candidate interpolates to b,
+    # which does not divide a; the PRS must find that a and b are coprime
+    K = intpoly_py
+    b = [1, 0, 1]
+    a = [1]
+    for x in K._heu_points(b, b):  # the points depend on the smaller norm, b's
+        a = K.mul(a, [-x, 1])
+    a = K.normalize([c + d for c, d in zip(a, b + [0] * len(a))])
+    assert K._heu_gcd(a, b) is None
+    assert K.gcd(a, b) == K._prs_gcd(a, b) == [1]
+    assert K.gcd(K.mul(a, [3, 1]), K.mul(b, [3, 1])) == [3, 1]

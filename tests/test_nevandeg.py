@@ -20,6 +20,7 @@ from torigcd.nevandeg import (
     tgcd_slope,
     tgcd_sweep,
 )
+from torigcd.multipoly import substitute
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
 from torigcd.randgen import random_ratfunc
 from torigcd.ratfunc import INFINITY, Place, RationalFunction, coprime_basis, valuation
@@ -235,6 +236,30 @@ def test_tgcd_sweep_matches_counting_for_polynomials():
     by_k = {r.k: r for r in res.rows}
     assert by_k[6].gcd_degree == 2
     assert by_k[7].gcd_degree == 0
+
+
+def test_sweep_rows_equal_per_k_substitution():
+    # rows come from powers advanced by one product per row; they must equal
+    # rows computed from substitute(F, gs, k) afresh at every k
+    rational = SweepConfig(
+        F=parse_multipoly("x1^2-x2+1", 2, first_index=1),
+        G=parse_multipoly("x1*x2-2", 2, first_index=1),
+        gs=(rf("(z+1)/(z-2)"), rf("z^2/(z+3)")),
+        k_min=2,
+        k_max=11,
+        k_step=3,
+    )
+    for sweep, slope, cfg in (
+        (gcd_sweep, ngcd_slope, rational),
+        (gcd_sweep, ngcd_slope, _shifted_config(k_min=3, k_max=30, k_step=3)),
+        (tgcd_sweep, tgcd_slope, _shifted_config(k_min=2, k_max=20, k_step=4)),
+    ):
+        res = sweep(cfg)
+        assert [r.k for r in res.rows] == list(range(cfg.k_min, cfg.k_max + 1, cfg.k_step))
+        for row in res.rows:
+            f = substitute(cfg.F, cfg.gs, row.k)
+            g = substitute(cfg.G, cfg.gs, row.k)
+            assert row.gcd_degree == slope(f, g)
 
 
 def test_sweep_gate_coprime():

@@ -54,6 +54,18 @@ def test_field_inverse_and_pow():
         rf("0") ** -1
 
 
+def test_pow_equals_reduced_construction():
+    rng = random.Random(5)
+    fs = [random_ratfunc(rng, 4) for _ in range(40)] + [rf("0"), rf("-3/7"), rf("(2*z)/(3*z^2-1)")]
+    for f in fs:
+        for k in range(-3, 5):
+            if k < 0 and f.is_zero():
+                continue
+            m = abs(k)
+            num, den = (f.num**m, f.den**m) if k >= 0 else (f.den**m, f.num**m)
+            assert f**k == RationalFunction(num, den)
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         rf_reduce(up("z"), up("0"))

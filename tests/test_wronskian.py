@@ -11,7 +11,7 @@ from torigcd.linalg import rank
 from torigcd.nevandeg import mult_independent
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
 from torigcd.randgen import random_coprime_pair, random_ratfunc, random_unipoly
-from torigcd.ratfunc import Place, RationalFunction, coprime_basis
+from torigcd.ratfunc import Place, RationalFunction, coprime_basis, valuation
 from torigcd.wronskian import bs_check, ordw_check, vanish_order, wronskian
 
 
@@ -100,6 +100,16 @@ def test_ordw_dependent_is_vacuous():
         ordw_check([rf("z"), rf("0")], z)
 
 
+def _check_lemma(fs, w, pl):
+    """The untruncated lemma v(W) >= sum v(f_j) - M(M-1)/2 at every place;
+    the truncated ordw inequality where no f_j has a pole."""
+    M = len(fs)
+    vs = [valuation(f, pl) for f in fs]
+    assert valuation(w, pl) >= sum(vs) - M * (M - 1) // 2
+    if min(vs) >= 0:
+        assert ordw_check(fs, pl).passed
+
+
 def test_ordw_holds_at_gcd_free_places():
     rng = random.Random(227)
     done = 0
@@ -114,9 +124,18 @@ def test_ordw_holds_at_gcd_free_places():
         # exactly (compound squarefree places reject partial overlap)
         basis = coprime_basis([p for f in fs for p in (f.num, f.den)] + [w.num, w.den])
         for b in basis:
-            rep = ordw_check(fs, Place.finite(b))
-            assert rep.passed
-        assert ordw_check(fs, Place.infinity()).passed
+            _check_lemma(fs, w, Place.finite(b))
+        _check_lemma(fs, w, Place.infinity())
+
+
+def test_ordw_truncated_form_can_fail_at_a_pole():
+    # f1 has a simple pole at z and f2 a double zero: lhs = 0 + 2 - 1 = 1,
+    # while W has a pole there, so rhs = 0; the untruncated lemma still holds
+    fs = [rf("(-1/2*z+1/2)/(z^3+1/2*z^2-1/2*z)"), rf("(2/3*z^3+z^2)/(z^2-2/3*z-1/3)")]
+    z = Place.finite(parse_unipoly("z"))
+    rep = ordw_check(fs, z)
+    assert (rep.lhs, rep.rhs, rep.passed, rep.vacuous) == (1, 0, False, False)
+    assert valuation(wronskian(fs), z) >= sum(valuation(f, z) for f in fs) - 1
 
 
 def test_bs_example_linear_forms():
