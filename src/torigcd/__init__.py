@@ -97,6 +97,6 @@ from .unipoly import (
     uni_gcd_list,
     uni_lcm,
 )
-from .wronskian import LocalCheckReport, bs_check, ordw_check, vanish_order, wronskian
+from .wronskian import LocalCheckReport, bs_check, ordw_check, wronskian
 
 __version__ = "0.1.0"

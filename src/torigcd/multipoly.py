@@ -10,7 +10,7 @@ no factorization into irreducibles happens anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from .ratfunc import RationalFunction
 from .unipoly import UniPoly, uni_gcd
@@ -277,32 +277,30 @@ def power_vars(F: MultiPoly, k: int) -> MultiPoly:
     )
 
 
-def substitute(
-    F: MultiPoly, gs: Sequence[RationalFunction], k: int = 1
-) -> RationalFunction:
-    """The reduced rational function F(g1^k, ..., gn^k)."""
-    if len(gs) != F.nvars:
-        raise ValueError(f"expected {F.nvars} argument functions, got {len(gs)}")
-    if k < 1:
-        raise ValueError("substitution power k must be >= 1")
-    hs = [g**k for g in gs]
-    powers: "list[list[RationalFunction]]" = []
-    for axis, h in enumerate(hs):
-        top = F.degree_in(axis)
-        cache = [RationalFunction.constant(1)]
-        for _ in range(max(top, 0)):
-            # h is reduced, so each power of it is too
-            prev = cache[-1]
-            cache.append(RationalFunction._coprime(prev.num * h.num, prev.den * h.den))
-        powers.append(cache)
-    acc = RationalFunction.constant(0)
-    for exp, coeff in F.sorted_terms():
-        term = RationalFunction.constant(coeff)
-        for axis, e in enumerate(exp):
-            if e:
-                term = term * powers[axis][e]
-        acc = acc + term
-    return acc
+def substitute(F: MultiPoly, hs: Sequence[RationalFunction]) -> RationalFunction:
+    """The reduced rational function F(h_1, ..., h_n).
+
+    With h_i = p_i/q_i and t_i = deg_{x_i} F, the value is
+    sum_e c_e prod_i p_i^e_i q_i^(t_i - e_i) over the common denominator
+    prod_i q_i^t_i.  The numerator is computed in the polynomial ring and the
+    quotient is reduced once.
+    """
+    if len(hs) != F.nvars:
+        raise ValueError(f"expected {F.nvars} argument functions, got {len(hs)}")
+    tops = [max(F.degree_in(axis), 0) for axis in range(F.nvars)]
+    cleared = MultiPoly(
+        2 * F.nvars,
+        {
+            tuple(x for e_i, t in zip(e, tops) for x in (e_i, t - e_i)): c
+            for e, c in F.terms.items()
+        },
+    )
+    den = UniPoly.constant(1)
+    for h, t in zip(hs, tops):
+        den = den * h.den**t
+    return RationalFunction(
+        evaluate_poly(cleared, [p for h in hs for p in (h.num, h.den)]), den
+    )
 
 
 def evaluate_poly(F: MultiPoly, gs: Sequence[UniPoly]) -> UniPoly:

@@ -3,7 +3,9 @@
 Variables are x0..x9 (multivariate) or z (univariate); literals are integers
 or rationals (3, 3/2); operators are + - * / ^ with parentheses.  Univariate
 input evaluates in the rational-function field, so (z^2-1)/(z+1) is accepted
-anywhere; multivariate input may divide by constants only.
+anywhere; multivariate input may divide by constants only.  A power whose
+degree, counting a constant base as degree 1, would exceed MAX_POWER_DEGREE
+is rejected before it is built.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from .errors import ParseError
 from .multipoly import MultiPoly
 from .ratfunc import Place, RationalFunction
 from .unipoly import UniPoly
+
+MAX_POWER_DEGREE = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d)|(z)|([-+*/^()]))")
 
@@ -88,7 +92,14 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer literal")
-            value = value ** int(tok)
+            k = int(tok)
+            deg = self.alg.degree(value)
+            if max(deg, 1) * k > MAX_POWER_DEGREE:
+                raise ParseError(
+                    f"power too large: exponent {k} on a base of degree {deg}"
+                    f" exceeds the degree cap {MAX_POWER_DEGREE}"
+                )
+            value = value**k
         return value
 
     def atom(self):
@@ -118,6 +129,9 @@ class _UniAlgebra:
             raise ParseError(f"unknown univariate variable {name!r} (use z)")
         return RationalFunction(UniPoly.monomial(1))
 
+    def degree(self, f: RationalFunction) -> int:
+        return max(f.num.degree, f.den.degree, 0)
+
     def div(self, a: RationalFunction, b: RationalFunction) -> RationalFunction:
         if b.is_zero():
             raise ParseError("division by zero")
@@ -144,6 +158,9 @@ class _MultiAlgebra:
                 f"variable {name} outside x{self.first_index}..x{last}"
             )
         return MultiPoly.variable(self.nvars, axis)
+
+    def degree(self, F: MultiPoly) -> int:
+        return max(F.total_degree(), 0)
 
     def div(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if b.is_zero():

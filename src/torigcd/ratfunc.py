@@ -178,11 +178,6 @@ def _coerce(value) -> "RationalFunction | None":
     return None
 
 
-def rf_reduce(num: UniPoly, den: UniPoly) -> RationalFunction:
-    """Reduced rational function num/den; errors on zero denominator."""
-    return RationalFunction(num, den)
-
-
 def format_ratfunc(f: RationalFunction, var: str = "z") -> str:
     """Render as 'P' for polynomials, '(P)/(Q)' otherwise."""
     num = format_unipoly(f.num, var)

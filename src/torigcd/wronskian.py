@@ -1,10 +1,9 @@
 """Wronskians of rational tuples and the two local inequality checks.
 
-The Wronskian of (f_1, ..., f_M) is det(d^j f_i / dz^j).  Small
-determinants (M <= 3) expand by cofactors directly in rational-function
-arithmetic; larger ones clear each column i by q_i^M, run fraction-free
-elimination over the polynomial ring, and divide the product back out.
-Both routes are exposed so they can cross-check each other.
+The Wronskian of (f_1, ..., f_M) is det(d^j f_i / dz^j).  Each column i
+is cleared by q_i^M, the determinant runs by fraction-free (Bareiss)
+elimination over the polynomial ring, and the product of the q_i^M is
+divided back out in one reduction.
 
 The local checks are exact valuation inequalities at one place:
   ordw_check:  sum_j v+(eta_j) - M(M-1)/2  <=  v+(W(eta))
@@ -15,8 +14,7 @@ The local checks are exact valuation inequalities at one place:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from .errors import HypothesisError
 from .idealslice import binom, build_basis_slice, slice_constants
@@ -48,21 +46,6 @@ def _poly_det(m: "list[list[UniPoly]]") -> UniPoly:
     return det * (-1) if sign < 0 else det
 
 
-def _rf_det(m: "list[list[RationalFunction]]") -> RationalFunction:
-    """Cofactor expansion along the first row."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = RationalFunction.constant(0)
-    for j in range(n):
-        if m[0][j].is_zero():
-            continue
-        minor = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-        term = m[0][j] * _rf_det(minor)
-        total = total - term if j % 2 else total + term
-    return total
-
-
 def _derivative_rows(fs: Sequence[RationalFunction]) -> "list[list[RationalFunction]]":
     rows = [list(fs)]
     for _ in range(len(fs) - 1):
@@ -76,8 +59,6 @@ def wronskian(fs: Sequence[RationalFunction]) -> RationalFunction:
     if M == 0:
         raise ValueError("need at least one function")
     rows = _derivative_rows(fs)
-    if M <= 3:
-        return _rf_det(rows)
     # clear column i by q_i^M: every entry d^j f_i has denominator dividing
     # q_i^(j+1) with j+1 <= M, so the scaled matrix is polynomial
     clear = [RationalFunction(f.den**M) for f in fs]
@@ -95,11 +76,6 @@ def wronskian(fs: Sequence[RationalFunction]) -> RationalFunction:
     for f in fs:
         den = den * f.den**M
     return RationalFunction(det, den)
-
-
-def vanish_order(f: RationalFunction, pl: Place) -> int:
-    """Valuation of f at the place; positive at zeros, negative at poles."""
-    return valuation(f, pl)
 
 
 def _vplus(f: RationalFunction, pl: Place) -> int:

@@ -38,6 +38,15 @@ def test_basis_parse_error(capsys):
     assert run(["basis", "--F1", "x0+", "--F2", "x1", "--m", "2"]) == 3
 
 
+@pytest.mark.parametrize("power", ["z^999999999", "((z^1000)^1000)^1000"])
+def test_huge_power_is_parse_error(power, capsys):
+    argv = ["gcd-sweep", "--F", "x1-1", "--G", "x2-1", "--g", power, "--g", "z+1"]
+    assert run(argv) == 3
+    assert "degree cap" in capsys.readouterr().err
+    assert run(["gcd-sweep", "--F", power.replace("z", "x1"), "--G", "x2-1",
+                "--g", "z", "--g", "z+1"]) == 3
+
+
 def test_usage_errors():
     assert run(["no-such-command"]) == 3
     assert run(["basis", "--F1", "x0"]) == 3  # missing required

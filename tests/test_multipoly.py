@@ -21,6 +21,7 @@ from torigcd.multipoly import (
     substitute,
 )
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
+from torigcd.ratfunc import RationalFunction
 
 NVARS = 3
 
@@ -105,11 +106,12 @@ def test_equalize_degrees():
 
 def test_substitute_examples():
     F = parse_multipoly("x1-1", 1, first_index=1)
-    assert substitute(F, [parse_ratfunc("z")], 3) == parse_ratfunc("z^3-1")
+    assert substitute(F, [parse_ratfunc("z") ** 3]) == parse_ratfunc("z^3-1")
     G = parse_multipoly("x1*x2", 2, first_index=1)
-    assert substitute(G, [parse_ratfunc("z"), parse_ratfunc("(1)/(z)")], 2) == parse_ratfunc("1")
+    gs = [parse_ratfunc("z"), parse_ratfunc("(1)/(z)")]
+    assert substitute(G, [g**2 for g in gs]) == parse_ratfunc("1")
     H = parse_multipoly("x1+x2", 2, first_index=1)
-    assert substitute(H, [parse_ratfunc("z"), parse_ratfunc("z+1")], 1) == parse_ratfunc("2*z+1")
+    assert substitute(H, [parse_ratfunc("z"), parse_ratfunc("z+1")]) == parse_ratfunc("2*z+1")
 
 
 def test_substitute_two_routes_agree():
@@ -122,16 +124,54 @@ def test_substitute_two_routes_agree():
         }
         F = MultiPoly(3, terms)
         k = rng.randint(1, 3)
-        assert substitute(F, gs, k) == substitute(power_vars(F, k), gs, 1)
+        assert substitute(F, [g**k for g in gs]) == substitute(power_vars(F, k), gs)
 
 
 def test_evaluate_poly_matches_substitute():
     F = mp("x0^2-x1*x2+1/2*x2")
     gs = [parse_unipoly("z"), parse_unipoly("z^2-1"), parse_unipoly("2*z+3")]
     val = evaluate_poly(F, gs)
-    via_rf = substitute(F, [parse_ratfunc(str(g)) for g in gs], 1)
+    via_rf = substitute(F, [parse_ratfunc(str(g)) for g in gs])
     assert via_rf.is_polynomial()
     assert via_rf.num == val
+
+
+def _substitute_reference(F, hs):
+    """F(h_1, ..., h_n) summed term by term in reduced rational arithmetic."""
+    acc = RationalFunction.constant(0)
+    for exp, coeff in F.terms.items():
+        term = RationalFunction.constant(coeff)
+        for h, e in zip(hs, exp):
+            term = term * h**e
+        acc = acc + term
+    return acc
+
+
+# bases share the denominators z, z-1 and (z-1)^2; drawing with replacement
+# repeats bases, and 0 and constants stand in for degenerate arguments
+SUBSTITUTE_BASES = [
+    parse_ratfunc(t)
+    for t in (
+        "0", "3/2", "z", "(z+1)/z", "(z^2-2)/z", "1/(z-1)", "(2*z+1)/(z-1)^2",
+        "(z^2+z)/((z-1)*z)", "(z-1)/(z^2+1)", "z^3-z+1/3",
+    )
+]
+
+
+@given(mpolys, st.lists(st.sampled_from(SUBSTITUTE_BASES), min_size=NVARS, max_size=NVARS))
+@settings(max_examples=150, deadline=None)
+def test_substitute_matches_term_by_term_reference(F, hs):
+    assert substitute(F, hs) == _substitute_reference(F, hs)
+
+
+def test_substitute_degenerate_polynomials():
+    hs = [parse_ratfunc("(z+1)/z"), parse_ratfunc("1/(z-1)"), parse_ratfunc("(z+1)/z")]
+    assert substitute(mp("0"), hs) == RationalFunction.constant(0)
+    assert substitute(mp("-5/3"), hs) == RationalFunction.constant(Fraction(-5, 3))
+    # x1 is absent and x0, x2 share one base
+    F = mp("x0^2*x2-3*x2^3+x0")
+    assert substitute(F, hs) == _substitute_reference(F, hs)
+    assert substitute(F, hs) == substitute(mp("x0^3-3*x0^3+x0", 1), hs[:1])
 
 
 def test_coprime_examples():

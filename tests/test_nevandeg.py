@@ -240,7 +240,7 @@ def test_tgcd_sweep_matches_counting_for_polynomials():
 
 def test_sweep_rows_equal_per_k_substitution():
     # rows come from powers advanced by one product per row; they must equal
-    # rows computed from substitute(F, gs, k) afresh at every k
+    # rows computed from substitute(F, [g**k for g in gs]) afresh at every k
     rational = SweepConfig(
         F=parse_multipoly("x1^2-x2+1", 2, first_index=1),
         G=parse_multipoly("x1*x2-2", 2, first_index=1),
@@ -257,8 +257,9 @@ def test_sweep_rows_equal_per_k_substitution():
         res = sweep(cfg)
         assert [r.k for r in res.rows] == list(range(cfg.k_min, cfg.k_max + 1, cfg.k_step))
         for row in res.rows:
-            f = substitute(cfg.F, cfg.gs, row.k)
-            g = substitute(cfg.G, cfg.gs, row.k)
+            hs = [g**row.k for g in cfg.gs]
+            f = substitute(cfg.F, hs)
+            g = substitute(cfg.G, hs)
             assert row.gcd_degree == slope(f, g)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from torigcd.errors import ParseError
 from torigcd.parsing import (
+    MAX_POWER_DEGREE,
     infer_homogeneous_nvars,
     parse_multipoly,
     parse_place,
@@ -110,3 +111,27 @@ def test_str_then_parse_round_trip():
     for text in ("x0^2*x1-1/3*x2^3", "x1+x2", "0"):
         F = parse_multipoly(text, 3)
         assert parse_multipoly(str(F), 3) == F
+
+
+# each rejected text would build a power of degree far above the cap
+HUGE_POWERS = ("z^999999999", "((z^1000)^1000)^1000")
+
+
+@pytest.mark.parametrize("text", HUGE_POWERS)
+def test_power_degree_cap(text):
+    with pytest.raises(ParseError, match="degree cap"):
+        parse_ratfunc(text)
+    with pytest.raises(ParseError, match="degree cap"):
+        parse_multipoly(text.replace("z", "x1"), 2)
+
+
+def test_power_degree_cap_boundary():
+    cap = MAX_POWER_DEGREE
+    assert parse_ratfunc(f"z^{cap}").num.degree == cap
+    assert parse_ratfunc(f"(1/z^2)^{cap // 2}").den.degree == cap
+    assert parse_multipoly(f"(x0*x1)^{cap // 2}", 2).total_degree() == cap
+    for text in (f"z^{cap + 1}", f"(1/z^2)^{cap // 2 + 1}", f"2^{cap + 1}"):
+        with pytest.raises(ParseError):
+            parse_ratfunc(text)
+    with pytest.raises(ParseError):
+        parse_multipoly(f"(x0*x1)^{cap // 2 + 1}", 2)

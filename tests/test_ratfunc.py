@@ -17,7 +17,6 @@ from torigcd.ratfunc import (
     factor_over_basis,
     gcd_free_places,
     place_multiplicity,
-    rf_reduce,
     valuation,
 )
 from torigcd.unipoly import ONE, UniPoly, uni_gcd
@@ -68,7 +67,7 @@ def test_pow_equals_reduced_construction():
 
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
-        rf_reduce(up("z"), up("0"))
+        RationalFunction(up("z"), up("0"))
 
 
 def test_place_validation():
