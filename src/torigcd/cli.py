@@ -32,6 +32,7 @@ from .multipoly import format_multipoly
 from .nevandeg import SweepConfig, gcd_sweep, mult_independent, tgcd_sweep
 from .ordering import parse_order
 from .parsing import (
+    MAX_POWER_DEGREE,
     infer_homogeneous_nvars,
     parse_multipoly,
     parse_place,
@@ -155,10 +156,20 @@ def _cmd_gcd_sweep(args) -> int:
     if epsilon <= 0:
         raise _UsageError("gcd-sweep: --epsilon must be positive")
     nvars = len(args.g)
+    F = parse_multipoly(args.F, nvars, first_index=1)
+    G = parse_multipoly(args.G, nvars, first_index=1)
+    gs = tuple(parse_ratfunc(g) for g in args.g)
+    # the sweep builds g^kmax for every base: the powers the parser caps
+    top = max(max(g.num.degree, g.den.degree, 1) for g in gs)
+    if args.kmax * top > MAX_POWER_DEGREE:
+        raise _UsageError(
+            f"gcd-sweep: --kmax {args.kmax} on a base of degree {top} exceeds"
+            f" the degree cap {MAX_POWER_DEGREE}"
+        )
     cfg = SweepConfig(
-        F=parse_multipoly(args.F, nvars, first_index=1),
-        G=parse_multipoly(args.G, nvars, first_index=1),
-        gs=tuple(parse_ratfunc(g) for g in args.g),
+        F=F,
+        G=G,
+        gs=gs,
         k_min=args.kmin,
         k_max=args.kmax,
         k_step=args.kstep,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from .intpoly_py import (
     bareiss_rank,
     content,
+    exact_quotient,
     gcd,
     mul,
     normalize,

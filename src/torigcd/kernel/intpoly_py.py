@@ -2,9 +2,10 @@
 
 A polynomial is a list of ints, index = exponent, with no trailing zeros;
 the zero polynomial is the empty list.  These routines carry the hot loops
-of the package: univariate gcds (the GCDHEU heuristic of Char, Geddes and
-Gonnet, JSC 1989, with the primitive pseudo-remainder sequence as its
-fallback) and fraction-free rank elimination.
+of the package: univariate products, exact quotients and gcds (the GCDHEU
+heuristic of Char, Geddes and Gonnet, JSC 1989, with the primitive
+pseudo-remainder sequence as its fallback) and fraction-free rank
+elimination.
 """
 
 from __future__ import annotations
@@ -118,7 +119,9 @@ def _heu_gcd(a: IntPoly, b: IntPoly) -> "IntPoly | None":
     """GCDHEU on primitive nonconstant inputs; None when every point fails."""
     for x in _heu_points(a, b):
         h = primitive_part(_interpolate(math.gcd(_evaluate(a, x), _evaluate(b, x)), x))
-        if _divides(h, a) and _divides(h, b):
+        if len(h) == 1:
+            return h
+        if exact_quotient(a, h) is not None and exact_quotient(b, h) is not None:
             return h
     return None
 
@@ -143,23 +146,29 @@ def _interpolate(v: int, x: int) -> IntPoly:
     return out
 
 
-def _divides(h: IntPoly, a: IntPoly) -> bool:
-    """True iff h divides a exactly in Z[x]."""
-    dh = len(h) - 1
-    if dh == 0:
-        return True
-    if len(a) <= dh:
-        return False
+def exact_quotient(a: IntPoly, b: IntPoly) -> "IntPoly | None":
+    """a / b in Z[x] for primitive nonzero b, or None when b does not divide a.
+
+    By Gauss's lemma an exact quotient has integer coefficients, so the
+    first leading coefficient that lc(b) does not divide proves a remainder.
+    """
+    db = len(b) - 1
+    if len(a) <= db:
+        return None if a else []
     r = list(a)
-    lh = h[-1]
-    for shift in range(len(a) - 1 - dh, -1, -1):
-        q, rem = divmod(r[shift + dh], lh)
+    lb = b[-1]
+    quot = [0] * (len(a) - db)
+    for shift in range(len(a) - 1 - db, -1, -1):
+        t, rem = divmod(r[shift + db], lb)
         if rem:
-            return False
-        if q:
-            for i in range(dh):
-                r[shift + i] -= q * h[i]
-    return not any(r[:dh])
+            return None
+        if t:
+            quot[shift] = t
+            for i in range(db):
+                r[shift + i] -= t * b[i]
+    if any(r[:db]):
+        return None
+    return quot
 
 
 def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -5,11 +5,15 @@ or rationals (3, 3/2); operators are + - * / ^ with parentheses.  Univariate
 input evaluates in the rational-function field, so (z^2-1)/(z+1) is accepted
 anywhere; multivariate input may divide by constants only.  A power whose
 degree, counting a constant base as degree 1, would exceed MAX_POWER_DEGREE
-is rejected before it is built.
+is rejected before it is built, and so is a power whose exponent times the
+largest bit length of a numerator or denominator among the coefficients of
+its base would exceed MAX_COEFF_BITS.  An integer literal of more than
+MAX_COEFF_BITS bits is rejected before it is converted.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -19,6 +23,10 @@ from .ratfunc import Place, RationalFunction
 from .unipoly import UniPoly
 
 MAX_POWER_DEGREE = 1000
+MAX_COEFF_BITS = 10000
+
+# a literal with more digits than this is at least 10^_MAX_DIGITS > 2^MAX_COEFF_BITS
+_MAX_DIGITS = math.floor(MAX_COEFF_BITS * math.log10(2)) + 1
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d)|(z)|([-+*/^()]))")
 
@@ -34,6 +42,26 @@ def _tokenize(text: str) -> "list[str]":
         tokens.append(m.group(m.lastindex))
         pos = m.end()
     return tokens
+
+
+def _int_literal(tok: str) -> int:
+    """The value of a digit string, rejected above MAX_COEFF_BITS bits."""
+    digits = tok.lstrip("0") or "0"
+    n = int(digits) if len(digits) <= _MAX_DIGITS else None
+    if n is None or n.bit_length() > MAX_COEFF_BITS:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits exceeds the coefficient cap"
+            f" of {MAX_COEFF_BITS} bits"
+        )
+    return n
+
+
+def _bits(values) -> int:
+    """Largest bit length among the numerators and denominators of rationals."""
+    return max(
+        (max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values),
+        default=0,
+    )
 
 
 class _Parser:
@@ -92,12 +120,18 @@ class _Parser:
             tok = self.take()
             if not tok.isdigit():
                 raise ParseError("exponent must be a nonnegative integer literal")
-            k = int(tok)
+            k = _int_literal(tok)
             deg = self.alg.degree(value)
             if max(deg, 1) * k > MAX_POWER_DEGREE:
                 raise ParseError(
                     f"power too large: exponent {k} on a base of degree {deg}"
                     f" exceeds the degree cap {MAX_POWER_DEGREE}"
+                )
+            bits = self.alg.coeff_bits(value)
+            if bits * k > MAX_COEFF_BITS:
+                raise ParseError(
+                    f"power too large: exponent {k} on coefficients of {bits} bits"
+                    f" exceeds the coefficient cap of {MAX_COEFF_BITS} bits"
                 )
             value = value**k
         return value
@@ -105,7 +139,7 @@ class _Parser:
     def atom(self):
         tok = self.take()
         if tok.isdigit():
-            return self.alg.const(Fraction(int(tok)))
+            return self.alg.const(Fraction(_int_literal(tok)))
         if tok == "(":
             value = self.expr()
             if self.take() != ")":
@@ -131,6 +165,9 @@ class _UniAlgebra:
 
     def degree(self, f: RationalFunction) -> int:
         return max(f.num.degree, f.den.degree, 0)
+
+    def coeff_bits(self, f: RationalFunction) -> int:
+        return _bits(f.num.coeffs + f.den.coeffs)
 
     def div(self, a: RationalFunction, b: RationalFunction) -> RationalFunction:
         if b.is_zero():
@@ -161,6 +198,9 @@ class _MultiAlgebra:
 
     def degree(self, F: MultiPoly) -> int:
         return max(F.total_degree(), 0)
+
+    def coeff_bits(self, F: MultiPoly) -> int:
+        return _bits(F.terms.values())
 
     def div(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if b.is_zero():

@@ -16,6 +16,7 @@ from .errors import HypothesisError
 from .unipoly import (
     ONE,
     UniPoly,
+    divide_out,
     exact_div,
     format_unipoly,
     is_squarefree,
@@ -252,13 +253,7 @@ def place_multiplicity(p: UniPoly, place_poly: UniPoly) -> int:
     """
     if p.is_zero():
         raise ZeroDivisionError("multiplicity of the zero polynomial")
-    e = 0
-    while True:
-        quot, rem = divmod(p, place_poly)
-        if not rem.is_zero():
-            break
-        p = quot
-        e += 1
+    e, p = divide_out(p, place_poly)
     if not uni_gcd(p, place_poly).is_constant():
         raise HypothesisError(
             "place polynomial overlaps the argument only partially",
@@ -314,13 +309,7 @@ def factor_over_basis(p: UniPoly, basis: Sequence[UniPoly]) -> "list[int]":
         raise ZeroDivisionError("factoring the zero polynomial")
     exps = []
     for b in basis:
-        e = 0
-        while True:
-            quot, rem = divmod(p, b)
-            if not rem.is_zero():
-                break
-            p = quot
-            e += 1
+        e, p = divide_out(p, b)
         exps.append(e)
     if not p.is_constant():
         raise ValueError("input does not factor over the given basis")

@@ -1,10 +1,21 @@
 """Dense univariate polynomials over exact rationals.
 
-Coefficients are fractions.Fraction values stored little-endian with no
-trailing zeros, so two polynomials are equal iff their coefficient tuples
-are equal.  The degree of the zero polynomial is the sentinel -1 (callers
-that rely on deg(0) = -infinity semantics must special-case zero).  Gcd
-computations clear denominators and run in the integer kernel.
+A polynomial is stored as integer numerators ``ints`` (little-endian, no
+trailing zeros) over one positive denominator ``den``, in lowest terms:
+gcd(content(ints), den) = 1, and the zero polynomial is ((), 1).  The form
+is canonical, so two polynomials are equal iff their (ints, den) pairs are,
+and hashing is exact.  Arithmetic, evaluation and gcds run on the integer
+lists (products and gcds in the integer kernel); ``coeffs`` and ``lc`` give
+Fraction views for callers that want them.  The degree of the zero
+polynomial is the sentinel -1 (callers that rely on deg(0) = -infinity
+semantics must special-case zero).
+
+Division (``divmod``, and through it ``exact_div``) and ``divide_out``
+first divide the integer numerators by the primitive part of the divisor:
+by Gauss's lemma the quotient is an integer polynomial whenever the
+division is exact, so the first leading coefficient that does not divide
+proves there is a remainder.  Only then does ``divmod`` fall back to
+rational long division for its quotient and remainder.
 """
 
 from __future__ import annotations
@@ -21,20 +32,25 @@ Scalar = Union[int, Fraction]
 class UniPoly:
     """Immutable univariate polynomial over the rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        fs = [Fraction(c) for c in coeffs]
+        # the lcm of reduced denominators leaves no factor common to all numerators
+        den = math.lcm(*(f.denominator for f in fs))
+        ints = [f.numerator * (den // f.denominator) for f in fs]
+        while ints and not ints[-1]:
+            ints.pop()
+        _set_ints(self, tuple(ints))
+        _set_den(self, den if ints else 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
 
     @staticmethod
     def constant(c: Scalar) -> "UniPoly":
-        return UniPoly((c,))
+        c = Fraction(c)
+        return _new((c.numerator,), c.denominator) if c else ZERO
 
     @staticmethod
     def monomial(k: int, c: Scalar = 1) -> "UniPoly":
@@ -42,48 +58,66 @@ class UniPoly:
         return UniPoly([0] * k + [c])
 
     @property
+    def coeffs(self) -> "tuple[Fraction, ...]":
+        """Coefficients as Fractions, little-endian; built on every access."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.ints)
+
+    @property
     def degree(self) -> int:
         """Degree, with -1 as the zero-polynomial sentinel."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     @property
     def lc(self) -> Fraction:
         """Leading coefficient; 0 for the zero polynomial."""
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return Fraction(self.ints[-1], self.den) if self.ints else Fraction(0)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.ints) <= 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == UniPoly.constant(other).coeffs
+            other = UniPoly.constant(other)
+        if isinstance(other, UniPoly):
+            return self.ints == other.ints and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
+        return _new(tuple(-c for c in self.ints), self.den)
 
-    def __add__(self, other) -> "UniPoly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+    def _combine(self, other, sign: int) -> "UniPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        a, b = self.ints, other.ints
+        da, db = self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            a = [c * (db // g) for c in a]
+            b = [c * (da // g) for c in b]
+            da = da * (db // g)
+        if sign < 0:
+            b = [-c for c in b]
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return UniPoly(out)
+        return _canon(out, da)
+
+    def __add__(self, other) -> "UniPoly":
+        other = _coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -91,30 +125,23 @@ class UniPoly:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "UniPoly":
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
 
     def __mul__(self, other) -> "UniPoly":
+        if isinstance(other, UniPoly):
+            if not self.ints or not other.ints:
+                return ZERO
+            return _canon(kernel.mul(self.ints, other.ints), self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return UniPoly()
-            return UniPoly(c * other for c in self.coeffs)
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return UniPoly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return UniPoly(out)
+            c = Fraction(other)
+            return _canon([x * c.numerator for x in self.ints], self.den * c.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -126,30 +153,41 @@ class UniPoly:
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = UniPoly.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if not self.ints:
+            return ONE if k == 0 else ZERO
+        # content^k stays coprime to den^k, so the power needs no reduction
+        result: "list[int]" = [1]
+        base = list(self.ints)
+        e = k
+        while e:
+            if e & 1:
+                result = kernel.mul(result, base)
+            e >>= 1
+            if e:
+                base = kernel.mul(base, base)
+        return _new(tuple(result), self.den**k)
 
     def __divmod__(self, other: "UniPoly"):
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if other.is_zero():
+        if not other.ints:
             raise ZeroDivisionError("polynomial division by zero")
+        c, b = _primitive(other.ints)
+        quot = kernel.exact_quotient(self.ints, b)
+        if quot is not None:
+            # self / other = (self.ints / b) * other.den / (self.den * c)
+            return _canon([x * other.den for x in quot], self.den * c), ZERO
         rem = list(self.coeffs)
         dg = other.degree
         glc = other.lc
+        divisor = other.coeffs
         quot = [Fraction(0)] * max(len(rem) - dg, 1)
         while len(rem) - 1 >= dg and rem:
             q = rem[-1] / glc
             shift = len(rem) - 1 - dg
             quot[shift] = q
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] -= q * c
+            for i, d in enumerate(divisor):
+                rem[shift + i] -= q * d
             while rem and rem[-1] == 0:
                 rem.pop()
         return UniPoly(quot), UniPoly(rem)
@@ -162,40 +200,71 @@ class UniPoly:
 
     def monic(self) -> "UniPoly":
         """Scale to leading coefficient 1; zero stays zero."""
-        if self.is_zero() or self.lc == 1:
+        ints = self.ints
+        if not ints or ints[-1] == self.den:
             return self
-        return self * (Fraction(1) / self.lc)
+        return _canon(list(ints), ints[-1])
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(i * c for i, c in enumerate(self.coeffs) if i > 0)
+        return _canon([i * c for i, c in enumerate(self.ints) if i], self.den)
 
     def evaluate(self, x: Scalar) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if not self.ints:
+            return Fraction(0)
+        x = Fraction(x)
+        n, d = x.numerator, x.denominator
+        # Horner on d^deg * p(n/d): dk runs through the powers of d
+        acc, dk = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * n + c * dk
+            dk *= d
+        return Fraction(acc, self.den * (dk // d))
 
     def compose_power(self, k: int) -> "UniPoly":
         """p(z^k)."""
         if k <= 0:
             raise ValueError("power substitution needs k >= 1")
-        out = [Fraction(0)] * (len(self.coeffs) * k)
-        for i, c in enumerate(self.coeffs):
+        if not self.ints:
+            return self
+        out = [0] * ((len(self.ints) - 1) * k + 1)
+        for i, c in enumerate(self.ints):
             out[i * k] = c
-        return UniPoly(out)
-
-    def to_int_coeffs(self) -> "tuple[int, list[int]]":
-        """Return (denominator, scaled integer coefficients) with denominator > 0."""
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        return den, [int(c * den) for c in self.coeffs]
+        return _new(tuple(out), self.den)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         return format_unipoly(self)
+
+
+_set_ints = UniPoly.ints.__set__
+_set_den = UniPoly.den.__set__
+
+
+def _new(ints: "tuple[int, ...]", den: int) -> UniPoly:
+    """Wrap a pair that is already canonical."""
+    p = object.__new__(UniPoly)
+    _set_ints(p, ints)
+    _set_den(p, den)
+    return p
+
+
+def _canon(ints: "list[int]", den: int) -> UniPoly:
+    """The polynomial ints/den in canonical form; den must be nonzero."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return ZERO
+    if den != 1:
+        if den < 0:
+            ints = [-c for c in ints]
+            den = -den
+        g = math.gcd(den, *ints)
+        if g != 1:
+            ints = [c // g for c in ints]
+            den //= g
+    return _new(tuple(ints), den)
 
 
 def _coerce(value) -> "UniPoly | None":
@@ -211,6 +280,12 @@ ONE = UniPoly.constant(1)
 Z = UniPoly.monomial(1)
 
 
+def _primitive(ints: "Sequence[int]") -> "tuple[int, Sequence[int]]":
+    """(content, primitive part) of a nonzero integer polynomial."""
+    c = math.gcd(*ints)
+    return c, ints if c == 1 else [x // c for x in ints]
+
+
 def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic gcd of p and q; error when both are zero."""
     if p.is_zero() and q.is_zero():
@@ -219,10 +294,9 @@ def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    _, a = p.to_int_coeffs()
-    _, b = q.to_int_coeffs()
-    g = kernel.gcd(a, b)
-    return UniPoly(g).monic()
+    # primitive with positive leading coefficient: g / lc(g) is canonical
+    g = kernel.gcd(p.ints, q.ints)
+    return _new(tuple(g), g[-1])
 
 
 def uni_gcd_list(ps: Sequence[UniPoly]) -> UniPoly:
@@ -242,7 +316,7 @@ def uni_lcm(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic lcm of two nonzero polynomials."""
     if p.is_zero() or q.is_zero():
         raise ZeroDivisionError("lcm with zero polynomial")
-    return ((p * q) // uni_gcd(p, q)).monic()
+    return exact_div(p * q, uni_gcd(p, q)).monic()
 
 
 def exact_div(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -251,6 +325,30 @@ def exact_div(p: UniPoly, q: UniPoly) -> UniPoly:
     if not rem.is_zero():
         raise ValueError("exact_div with nonzero remainder")
     return quot
+
+
+def divide_out(p: UniPoly, q: UniPoly) -> "tuple[int, UniPoly]":
+    """(e, p / q^e) for the largest e such that q^e divides p.
+
+    p must be nonzero and q nonconstant.
+    """
+    if p.is_zero():
+        raise ZeroDivisionError("dividing out of the zero polynomial")
+    if q.degree < 1:
+        raise ValueError("divide_out needs a nonconstant divisor")
+    c, b = _primitive(q.ints)
+    a = p.ints
+    e = 0
+    while True:
+        quot = kernel.exact_quotient(a, b)
+        if quot is None:
+            break
+        a = quot
+        e += 1
+    if e == 0:
+        return 0, p
+    scale = q.den**e
+    return e, _canon([x * scale for x in a], p.den * c**e)
 
 
 def is_squarefree(p: UniPoly) -> bool:
@@ -282,17 +380,20 @@ def format_unipoly(p: UniPoly, var: str = "z") -> str:
     """Render in the CLI grammar: '+', '-', '*', '^', rationals as p/q."""
     if p.is_zero():
         return "0"
+    den = p.den
     parts = []
     for i in range(p.degree, -1, -1):
-        c = p.coeffs[i]
-        if c == 0:
+        c = p.ints[i]
+        if not c:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
+        g = math.gcd(c, den)
+        num, d = abs(c) // g, den // g
+        mag = str(num) if d == 1 else f"{num}/{d}"
         if i == 0:
-            body = str(mag)
+            body = mag
         else:
             v = var if i == 1 else f"{var}^{i}"
-            body = v if mag == 1 else f"{mag}*{v}"
+            body = v if mag == "1" else f"{mag}*{v}"
         parts.append(sign + body)
     return "".join(parts)

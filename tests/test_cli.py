@@ -47,6 +47,31 @@ def test_huge_power_is_parse_error(power, capsys):
                 "--g", "z", "--g", "z+1"]) == 3
 
 
+def test_long_literal_is_parse_error(capsys):
+    assert run(["indep", "--g", "1" * 5000 + "*z", "--g", "z+1"]) == 3
+    captured = capsys.readouterr()
+    assert "coefficient cap" in captured.err
+    assert captured.out == ""
+
+
+SWEEP_BASES = ["gcd-sweep", "--F", "x1-1", "--G", "x2-1", "--g", "z", "--g"]
+
+
+def test_sweep_kmax_degree_cap(capsys):
+    # the sweep builds g^kmax for every base, so kmax times the largest base
+    # degree is held to the parser's power cap
+    assert run(SWEEP_BASES + ["z+1", "--kmin", "5000", "--kmax", "5000"]) == 3
+    assert "degree cap" in capsys.readouterr().err
+    assert run(SWEEP_BASES + ["z+1", "--kmin", "1001", "--kmax", "1001"]) == 3
+    assert run(SWEEP_BASES + ["(z^2+1)/(z-3)", "--kmax", "501"]) == 3
+    assert "degree cap" in capsys.readouterr().err
+    # at the cap: one row each, on F, G whose gcds at these k are quick
+    at_cap = ["gcd-sweep", "--F", "x1-1", "--G", "x1+1", "--g", "z", "--g"]
+    assert run(at_cap + ["z+1", "--kmin", "1000", "--kmax", "1000"]) == 0
+    assert run(at_cap + ["z^2+1", "--kmin", "500", "--kmax", "500"]) == 0
+    assert capsys.readouterr().out.count("# summary") == 2
+
+
 def test_usage_errors():
     assert run(["no-such-command"]) == 3
     assert run(["basis", "--F1", "x0"]) == 3  # missing required

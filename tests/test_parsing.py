@@ -6,6 +6,7 @@ import pytest
 
 from torigcd.errors import ParseError
 from torigcd.parsing import (
+    MAX_COEFF_BITS,
     MAX_POWER_DEGREE,
     infer_homogeneous_nvars,
     parse_multipoly,
@@ -135,3 +136,36 @@ def test_power_degree_cap_boundary():
             parse_ratfunc(text)
     with pytest.raises(ParseError):
         parse_multipoly(f"(x0*x1)^{cap // 2 + 1}", 2)
+
+
+def test_long_integer_literal_is_parse_error():
+    # over 4300 digits, int() itself would raise a plain ValueError
+    with pytest.raises(ParseError, match="coefficient cap"):
+        parse_ratfunc("1" * 5000 + "*z")
+    with pytest.raises(ParseError, match="coefficient cap"):
+        parse_multipoly("1" * 5000 + "*x0", 1)
+    with pytest.raises(ParseError):
+        parse_ratfunc("z^" + "9" * 5000)
+    assert parse_ratfunc("0" * 5000 + "7") == parse_ratfunc("7")
+
+
+def test_coefficient_bit_cap_boundary():
+    cap = MAX_COEFF_BITS
+    assert parse_ratfunc(str(2**cap - 1)).as_constant() == 2**cap - 1
+    with pytest.raises(ParseError, match="coefficient cap"):
+        parse_ratfunc(str(2**cap))
+    # 2^999 has 1000 bits, so its tenth power just reaches the cap
+    assert parse_ratfunc("(2^999)^10").as_constant() == 2**9990
+    assert parse_ratfunc("(1/2^999)^10").as_constant() == Fraction(1, 2**9990)
+    assert parse_multipoly("(2^999*x0)^10", 1) == parse_multipoly(f"{2**9990}*x0^10", 1)
+    for text in (
+        "(2^1000)^10",
+        "(1/2^1000)^10",
+        "(z+2^1000)^10",
+        "(2^1000)^1000",
+        "((2^1000)^1000)^1000",
+    ):
+        with pytest.raises(ParseError, match="coefficient cap"):
+            parse_ratfunc(text)
+    with pytest.raises(ParseError, match="coefficient cap"):
+        parse_multipoly("(2^1000*x0)^10", 1)

@@ -160,7 +160,7 @@ def test_format_parse_round_trip():
     assert format_unipoly(ZERO) == "0"
 
 
-def test_to_int_coeffs_clears_denominators():
+def test_ints_over_one_denominator():
     p = UniPoly([Fraction(1, 2), Fraction(2, 3)])
-    den, ints = p.to_int_coeffs()
-    assert den == 6 and ints == [3, 4]
+    assert p.den == 6 and p.ints == (3, 4)
+    assert p.coeffs == (Fraction(1, 2), Fraction(2, 3))
