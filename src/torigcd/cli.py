@@ -24,6 +24,7 @@ from .expunits import QuadExt, exp_char_slope, exp_ngcd_slope, format_quad, pars
 from .idealslice import (
     asymptotic_check,
     build_basis_slice,
+    monomial_count,
     slice_constants,
     verify_basis,
     verify_sum_formulas,
@@ -33,6 +34,7 @@ from .nevandeg import SweepConfig, gcd_sweep, mult_independent, tgcd_sweep
 from .ordering import parse_order
 from .parsing import (
     MAX_POWER_DEGREE,
+    MAX_SLICE_MONOMIALS,
     infer_homogeneous_nvars,
     parse_multipoly,
     parse_place,
@@ -82,8 +84,23 @@ def _csv_text(seed: int, header: Sequence[str], rows: Sequence[Sequence], traile
     return "\n".join(lines) + "\n"
 
 
+def _check_slice_size(command: str, m: int, nvars: int) -> None:
+    """Usage error when the degree-m slice in nvars variables is over the cap.
+
+    A slice has degree m >= d >= 1, so counting at least degree 1 also caps
+    the variable count before any polynomial in them is built.
+    """
+    count = monomial_count(max(m, 1), nvars - 1)
+    if count > MAX_SLICE_MONOMIALS:
+        raise _UsageError(
+            f"{command}: --m {m} in {nvars} variables gives {count} slice"
+            f" monomials, over the cap {MAX_SLICE_MONOMIALS}"
+        )
+
+
 def _cmd_basis(args) -> int:
     nvars = infer_homogeneous_nvars(args.F1, args.F2)
+    _check_slice_size("basis", args.m, nvars)
     F1 = parse_multipoly(args.F1, nvars)
     F2 = parse_multipoly(args.F2, nvars)
     order = parse_order(args.order, nvars)
@@ -202,6 +219,7 @@ def _cmd_wronskian_check(args) -> int:
 
 def _cmd_bs_check(args) -> int:
     nvars = len(args.g)
+    _check_slice_size("bs-check", args.m, nvars)
     F = parse_multipoly(args.F, nvars)
     G = parse_multipoly(args.G, nvars)
     gs = [parse_unipoly(g) for g in args.g]

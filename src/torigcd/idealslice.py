@@ -12,6 +12,7 @@ index evaluate to 0, which makes the m < 2d edge (empty B1') uniform.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,15 +41,20 @@ def monomial_count(delta: int, n: int) -> int:
 
 
 def monomials_of_degree(nvars: int, delta: int) -> "list[Exponent]":
-    """All degree-delta exponent vectors, in descending lexicographic order."""
+    """All degree-delta exponent vectors, in descending lexicographic order.
+
+    Sorted multisets of variable indices come out of
+    combinations_with_replacement in increasing lex order, which is
+    descending lex order on their exponent vectors.
+    """
     if delta < 0:
         return []
-    if nvars == 1:
-        return [(delta,)]
     out = []
-    for first in range(delta, -1, -1):
-        for rest in monomials_of_degree(nvars - 1, delta - first):
-            out.append((first, *rest))
+    for indices in itertools.combinations_with_replacement(range(nvars), delta):
+        e = [0] * nvars
+        for i in indices:
+            e[i] += 1
+        out.append(tuple(e))
     return out
 
 
@@ -183,12 +189,15 @@ def build_basis_slice(
 
 def coefficient_matrix(
     polys: Sequence[MultiPoly], nvars: int, degree: int
-) -> "list[list[Fraction]]":
-    """Rows = polynomials, columns = degree-m monomials in descending lex order."""
+) -> "list[list[Fraction | int]]":
+    """Rows = polynomials, columns = degree-m monomials in descending lex order.
+
+    Empty cells hold the int 0; only the cells of terms hold a Fraction.
+    """
     columns = {e: i for i, e in enumerate(monomials_of_degree(nvars, degree))}
     rows = []
     for p in polys:
-        row = [Fraction(0)] * len(columns)
+        row: "list[Fraction | int]" = [0] * len(columns)
         for e, c in p.terms.items():
             row[columns[e]] = c
         rows.append(row)

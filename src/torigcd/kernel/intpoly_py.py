@@ -4,8 +4,12 @@ A polynomial is a list of ints, index = exponent, with no trailing zeros;
 the zero polynomial is the empty list.  These routines carry the hot loops
 of the package: univariate products, exact quotients and gcds (the GCDHEU
 heuristic of Char, Geddes and Gonnet, JSC 1989, with the primitive
-pseudo-remainder sequence as its fallback) and fraction-free rank
-elimination.
+pseudo-remainder sequence as its fallback) and exact ranks.
+
+``bareiss_rank`` keeps the name of the Bareiss elimination it replaced, so
+benchmark records stay comparable across versions.  It no longer rescales
+every row at every pivot: it keeps rows sparse and updates only the rows
+whose pivot-column entry is nonzero, dividing each by its content.
 """
 
 from __future__ import annotations
@@ -182,33 +186,53 @@ def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def bareiss_rank(rows: List[List[int]]) -> int:
-    """Exact rank by fraction-free elimination, pivoting on the first nonzero entry per column."""
-    m = [list(row) for row in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
+    """Exact rank of dense int rows by fraction-free elimination.
+
+    Each nonzero row is kept as a map from column to nonzero entry and filed
+    under its leading column.  Columns are taken left to right; the rows
+    filed under a column are the ones with a nonzero entry there (their
+    head), and the sparsest of them, the one ending first among equals,
+    becomes the pivot.  Only those rows are touched: each becomes
+    (p/g)*row - (h/g)*pivot, with p the pivot's head, h the row's head and
+    g = gcd(p, h), is divided by its content and filed again under its new
+    leading column; rows that vanish are dropped.  A nonzero multiple of a
+    row plus a multiple of another keeps the row space over Q, so the rank,
+    the number of pivots, is exact.  A sparse matrix thus costs work in
+    proportion to the rows each pivot changes, not to rows times columns.
+    The rows are not modified.  The name is kept from the Bareiss
+    elimination this replaced, so benchmark records stay comparable.
+    """
+    ncols = len(rows[0]) if rows else 0
+    by_lead: "list[list[dict[int, int]] | None]" = [[] for _ in range(ncols)]
+    for row in rows:
+        entries = {c: x for c, x in enumerate(row) if x}
+        if entries:
+            by_lead[next(iter(entries))].append(entries)
     rank = 0
-    prev = 1
-    pr = 0
-    for pc in range(nc):
-        piv = -1
-        for r in range(pr, nr):
-            if m[r][pc] != 0:
-                piv = r
-                break
-        if piv < 0:
+    for pc in range(ncols):
+        heads = by_lead[pc]
+        by_lead[pc] = None  # every row filed later leads further right
+        if not heads:
             continue
-        if piv != pr:
-            m[pr], m[piv] = m[piv], m[pr]
-        p = m[pr][pc]
-        for r in range(pr + 1, nr):
-            row = m[r]
-            head = row[pc]
-            for c in range(pc + 1, nc):
-                row[c] = (p * row[c] - head * m[pr][c]) // prev
-            row[pc] = 0
-        prev = p
         rank += 1
-        pr += 1
-        if pr == nr:
-            break
+        pivot = min(heads, key=lambda r: (len(r), max(r)))
+        p = pivot[pc]
+        for row in heads:
+            if row is pivot:
+                continue
+            h = row[pc]
+            g = math.gcd(p, h)
+            a, b = p // g, h // g
+            new = {c: a * x for c, x in row.items()}
+            for c, y in pivot.items():
+                v = new.get(c, 0) - b * y
+                if v:
+                    new[c] = v
+                else:
+                    del new[c]
+            if new:
+                g = math.gcd(*new.values())
+                if g != 1:
+                    new = {c: x // g for c, x in new.items()}
+                by_lead[min(new)].append(new)
     return rank

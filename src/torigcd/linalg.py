@@ -1,7 +1,10 @@
 """Exact linear algebra over the rationals.
 
-Ranks go through the fraction-free integer kernel after clearing row
-denominators; reduced row echelon form and null spaces stay in Fraction
+Entries are Fractions or ints.  Ranks clear each row's denominators in
+integer arithmetic, skipping zeros, and hand the int rows to the kernel's
+fraction-free elimination (``kernel.bareiss_rank``), which touches only the
+rows each pivot changes; sparse slice matrices rank in time proportional
+to that fill.  Reduced row echelon form and null spaces stay in Fraction
 arithmetic (they are only used on small certificate matrices).
 """
 
@@ -17,13 +20,11 @@ Row = List[Fraction]
 
 
 def _cleared_int_rows(rows: Sequence[Sequence[Fraction]]) -> "list[list[int]]":
+    """Each row times the lcm of its denominators, as ints; entries may be ints."""
     out = []
     for row in rows:
-        den = 1
-        for x in row:
-            f = Fraction(x)
-            den = den * f.denominator // math.gcd(den, f.denominator)
-        out.append([int(Fraction(x) * den) for x in row])
+        den = math.lcm(*(x.denominator for x in row if x))
+        out.append([x.numerator * (den // x.denominator) if x else 0 for x in row])
     return out
 
 

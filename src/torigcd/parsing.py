@@ -1,14 +1,17 @@
 """Text grammar for polynomials and rational functions.
 
-Variables are x0..x9 (multivariate) or z (univariate); literals are integers
-or rationals (3, 3/2); operators are + - * / ^ with parentheses.  Univariate
-input evaluates in the rational-function field, so (z^2-1)/(z+1) is accepted
+Variables are x with a decimal index (x0, x1, ..., x10, x12, ...;
+multivariate) or z (univariate); literals are integers or rationals (3,
+3/2); operators are + - * / ^ with parentheses.  Univariate input
+evaluates in the rational-function field, so (z^2-1)/(z+1) is accepted
 anywhere; multivariate input may divide by constants only.  A power whose
 degree, counting a constant base as degree 1, would exceed MAX_POWER_DEGREE
 is rejected before it is built, and so is a power whose exponent times the
 largest bit length of a numerator or denominator among the coefficients of
 its base would exceed MAX_COEFF_BITS.  An integer literal of more than
-MAX_COEFF_BITS bits is rejected before it is converted.
+MAX_COEFF_BITS bits is rejected before it is converted, and so is a
+variable index that long.  MAX_SLICE_MONOMIALS, the largest slice the
+`basis` and `bs-check` subcommands accept, sits here with the other caps.
 """
 
 from __future__ import annotations
@@ -24,11 +27,14 @@ from .unipoly import UniPoly
 
 MAX_POWER_DEGREE = 1000
 MAX_COEFF_BITS = 10000
+# largest graded slice `basis` and `bs-check` build: C(m+n, n) monomials of
+# degree m in n+1 variables, the column count of the slice's rank matrices
+MAX_SLICE_MONOMIALS = 1000
 
 # a literal with more digits than this is at least 10^_MAX_DIGITS > 2^MAX_COEFF_BITS
 _MAX_DIGITS = math.floor(MAX_COEFF_BITS * math.log10(2)) + 1
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d)|(z)|([-+*/^()]))")
+_TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|(z)|([-+*/^()]))")
 
 
 def _tokenize(text: str) -> "list[str]":
@@ -187,8 +193,8 @@ class _MultiAlgebra:
 
     def var(self, name: str) -> MultiPoly:
         if name == "z":
-            raise ParseError("variable z is univariate; use x<digit> here")
-        axis = int(name[1]) - self.first_index
+            raise ParseError("variable z is univariate; use x<index> here")
+        axis = _int_literal(name[1:]) - self.first_index
         if not 0 <= axis < self.nvars:
             last = self.first_index + self.nvars - 1
             raise ParseError(
@@ -232,8 +238,8 @@ def infer_homogeneous_nvars(*texts: str) -> int:
     """Number of variables x0..xn mentioned across homogeneous inputs."""
     top = -1
     for text in texts:
-        for m in re.finditer(r"x(\d)", text):
-            top = max(top, int(m.group(1)))
+        for m in re.finditer(r"x(\d+)", text):
+            top = max(top, _int_literal(m.group(1)))
     if top < 0:
         raise ParseError("no x-variables found in homogeneous input")
     return top + 1

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from torigcd.cli import run
+from torigcd.parsing import MAX_SLICE_MONOMIALS
 
 BASIS = ["basis", "--F1", "x0", "--F2", "x1", "--m", "2", "--order", "lex"]
 SWEEP = [
@@ -36,6 +37,38 @@ def test_basis_hypothesis_rejection(capsys):
 
 def test_basis_parse_error(capsys):
     assert run(["basis", "--F1", "x0+", "--F2", "x1", "--m", "2"]) == 3
+
+
+def test_basis_eleven_variables(capsys):
+    argv = ["basis", "--F1", "x0+x1+x10", "--F2", "x3-x10+x5", "--m", "2"]
+    assert run(argv) == 0
+    payload = _json_out(capsys)
+    assert payload["n"] == 10 and payload["constants"]["M"] == 21
+    assert payload["passed"] and "x0*x10" in payload["B"][0]
+
+
+def test_slice_size_cap_boundary(capsys):
+    # the degree-1 slice in N variables has N monomials; degree m in two has m + 1
+    top = MAX_SLICE_MONOMIALS
+    assert run(["basis", "--F1", "x0", "--F2", f"x{top - 1}", "--m", "1"]) == 0
+    assert _json_out(capsys)["passed"]
+    assert run(["basis", "--F1", "x0", "--F2", f"x{top}", "--m", "1"]) == 3
+    assert run(["basis", "--F1", "x0", "--F2", "x1", "--m", str(top)]) == 3
+    bs = ["bs-check", "--F", "x0", "--G", "x1", "--m", "1", "--g", "z", "--g", "z+1"]
+    assert run(bs + ["--g", "1"] * (top - 2) + ["--place", "z"]) == 0
+    assert _json_out(capsys)["passed"]
+    assert run(bs + ["--g", "1"] * (top - 1) + ["--place", "z"]) == 3
+    bs[bs.index("--m") + 1] = str(top)
+    assert run(bs + ["--place", "z"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"over the cap {top}" in captured.err
+
+
+@pytest.mark.parametrize("m", ["0", "-1", "2"])
+def test_huge_variable_index_is_usage_error(m, capsys):
+    assert run(["basis", "--F1", "x0", "--F2", "x99999999999", "--m", m]) == 3
+    assert run(["basis", "--F1", "x0", "--F2", "x" + "9" * 5000, "--m", m]) == 3
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("power", ["z^999999999", "((z^1000)^1000)^1000"])

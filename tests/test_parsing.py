@@ -67,6 +67,21 @@ def test_variable_range_enforced():
         parse_ratfunc("x0")
 
 
+def test_multi_digit_variables():
+    F = parse_multipoly("x10 - 2*x12^2", 13)
+    assert F.terms == {
+        tuple(int(i == 10) for i in range(13)): 1,
+        tuple(2 * (i == 12) for i in range(13)): -2,
+    }
+    assert parse_multipoly(str(F), 13) == F
+    assert parse_multipoly("x10*x1", 11) == parse_multipoly("x1*x10", 11)
+    assert infer_homogeneous_nvars("x0+x12", "x10") == 13
+    with pytest.raises(ParseError, match="outside x0..x11"):
+        parse_multipoly("x12", 12)
+    with pytest.raises(ParseError, match="outside x1..x10"):
+        parse_multipoly("x11", 10, first_index=1)
+
+
 def test_malformed_input_rejected():
     for bad in ("", "z+", "(z", "z)", "z^", "z^-1", "z^(2)", "2**z", "z y", "x10", "3..5"):
         with pytest.raises(ParseError):
