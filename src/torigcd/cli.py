@@ -136,6 +136,8 @@ def _cmd_basis(args) -> int:
 
 
 def _cmd_identities(args) -> int:
+    if args.n < 1 or args.d < 1 or args.mmax < 4 * args.d:
+        raise _UsageError("identities: need --n >= 1, --d >= 1 and --mmax >= 4*d")
     rep = asymptotic_check(args.n, args.d, args.mmax)
     rows = [
         (r.m, r.c, r.M, r.Mprime, r.res_c, r.res_M, r.res_Mprime) for r in rep.rows

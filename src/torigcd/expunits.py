@@ -152,6 +152,10 @@ class QuadExt:
         return f"{self.a}{sign}{root}"
 
 
+# squarefreeness is checked by trial division up to sqrt(d): about 0.3 s at the cap
+MAX_QUAD_DISCRIMINANT = 10**12
+_MAX_D_DIGITS = len(str(MAX_QUAD_DISCRIMINANT))
+
 _QUAD_RAT = r"\d+(?:/\d+)?"
 _QUAD_TERM = re.compile(
     rf"^(?:(?P<coeff>{_QUAD_RAT})\*)?sqrt(?P<d>\d+)$|^(?P<rat>{_QUAD_RAT})$"
@@ -160,7 +164,7 @@ _QUAD_SPLIT = re.compile(r"([+-]?)([^+-]+)")
 
 
 def parse_quad(text: str) -> QuadExt:
-    """Literals like 3/2, sqrt2, 1+2*sqrt5, -1/2*sqrt3."""
+    """Literals like 3/2, sqrt2, 1+2*sqrt5, -1/2*sqrt3; sqrt<d> needs d <= 10^12."""
     squeezed = text.replace(" ", "")
     if not squeezed:
         raise ParseError("empty quadratic literal")
@@ -174,13 +178,20 @@ def parse_quad(text: str) -> QuadExt:
         term = _QUAD_TERM.match(chunk)
         if term is None:
             raise ParseError(f"bad quadratic term: {chunk!r}")
+        d = term.group("d")
+        if d is not None and (
+            len(d.lstrip("0")) > _MAX_D_DIGITS or int(d) > MAX_QUAD_DISCRIMINANT
+        ):
+            raise ParseError(
+                f"discriminant in {chunk!r} exceeds the cap {MAX_QUAD_DISCRIMINANT}"
+            )
         factor = Fraction(-1 if sign == "-" else 1)
         try:
             if term.group("rat") is not None:
                 value = QuadExt(factor * Fraction(term.group("rat")))
             else:
                 coeff = Fraction(term.group("coeff") or 1)
-                value = QuadExt(0, factor * coeff, int(term.group("d")))
+                value = QuadExt(0, factor * coeff, int(d))
             total = total + value
         except (ValueError, ZeroDivisionError) as exc:
             # non-squarefree discriminant, mixed fields, zero denominator

@@ -15,7 +15,7 @@ from .intpoly_py import (
     mul,
     normalize,
     primitive_part,
-    pseudo_rem,
+    pseudo_divmod,
 )
 
 BACKEND = "pure"

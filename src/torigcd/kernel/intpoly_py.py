@@ -62,28 +62,29 @@ def primitive_part(a: IntPoly) -> IntPoly:
     return [x // c for x in a]
 
 
-def pseudo_rem(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Pseudo-remainder prem(f, g) = lc(g)^(deg f - deg g + 1) * f mod g."""
+def pseudo_divmod(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly]":
+    """(q, r) with lc(g)^e * f = q * g + r and deg r < deg g.
+
+    Here e = max(deg f - deg g + 1, 0).  Both q and r are unique, and r is
+    the pseudo-remainder prem(f, g).
+    """
     if not g:
-        raise ZeroDivisionError("pseudo_rem by zero polynomial")
-    r = list(f)
+        raise ZeroDivisionError("pseudo_divmod by zero polynomial")
     dg = len(g) - 1
     lg = g[-1]
-    e = len(f) - len(g) + 1
-    while len(r) > dg:
-        s = r[-1]
-        for i in range(len(r)):
-            r[i] *= lg
-        shift = len(r) - 1 - dg
-        for i in range(dg + 1):
-            r[shift + i] -= s * g[i]
-        r.pop()
-        normalize(r)
-        e -= 1
-    if e > 0:
-        m = lg**e
-        r = [c * m for c in r]
-    return r
+    r = list(f)
+    q = [0] * max(len(f) - dg, 0)
+    for shift in range(len(q) - 1, -1, -1):
+        # r <- lg * r - s * z^shift * g cancels r's top coefficient s; the
+        # shift steps still to come scale q's new coefficient by lg each
+        s = r.pop()
+        if lg != 1:
+            r = [c * lg for c in r]
+        if s:
+            q[shift] = s * lg**shift
+            for i in range(dg):
+                r[shift + i] -= s * g[i]
+    return q, normalize(r)
 
 
 HEU_TRIES = 6  # evaluation points GCDHEU tries before the PRS takes over
@@ -180,7 +181,7 @@ def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = primitive_part(pseudo_rem(a, b))
+        r = primitive_part(pseudo_divmod(a, b)[1])
         a, b = b, r
     return a
 

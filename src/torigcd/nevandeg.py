@@ -181,8 +181,8 @@ def mult_independent(gs: Sequence[RationalFunction]) -> IndependenceCertificate:
 
     The divisor exponent matrix over the joint gcd-free basis (Infinity
     column included) has rank n exactly when the gs are multiplicatively
-    independent; a primitive left-kernel vector otherwise exhibits the
-    constant power product.
+    independent; otherwise the primitive relation of the first row in the
+    span of the rows before it exhibits the constant power product.
     """
     n = len(gs)
     for g in gs:
@@ -193,21 +193,17 @@ def mult_independent(gs: Sequence[RationalFunction]) -> IndependenceCertificate:
     for g in gs:
         finite, at_inf = divisor_exponents(g, basis)
         rows.append(tuple(finite) + (at_inf,))
-    frac_rows = [[Fraction(x) for x in row] for row in rows]
-    rank = linalg.rank(frac_rows) if rows else 0
-    if rank == n:
-        _, pivots = linalg.rref(frac_rows)
+    independent, found = linalg.pivots_or_relation(rows)
+    if independent:
         return IndependenceCertificate(
             independent=True,
             n=n,
             basis=basis,
             matrix=tuple(rows),
-            pivot_columns=tuple(pivots),
+            pivot_columns=tuple(found),
             witness=None,
         )
-    kernel = linalg.left_nullspace(frac_rows)
-    witness = linalg.primitive_integer_vector(kernel[0])
-    if not _witness_is_constant(gs, witness):
+    if not _witness_is_constant(gs, found):
         raise AssertionError("dependence witness failed verification")
     return IndependenceCertificate(
         independent=False,
@@ -215,7 +211,7 @@ def mult_independent(gs: Sequence[RationalFunction]) -> IndependenceCertificate:
         basis=basis,
         matrix=tuple(rows),
         pivot_columns=(),
-        witness=tuple(witness),
+        witness=tuple(found),
     )
 
 

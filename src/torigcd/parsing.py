@@ -253,7 +253,19 @@ def parse_place(text: str) -> Place:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse an integer, p/q, or exact decimal literal."""
+    """Parse an integer, p/q, or exact decimal literal.
+
+    A decimal exponent (1e-3) is rejected when its power of ten alone has
+    more than MAX_COEFF_BITS bits, so 1e999999999 fails at once instead of
+    building a billion-digit integer.
+    """
+    exponent = re.search(r"[eE][-+]?([\d_]+)", text)
+    if exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(_MAX_DIGITS)) or int(digits or 0) >= _MAX_DIGITS:
+            raise ParseError(
+                f"exponent in {text!r} exceeds the coefficient cap of {MAX_COEFF_BITS} bits"
+            )
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

@@ -14,8 +14,9 @@ Division (``divmod``, and through it ``exact_div``) and ``divide_out``
 first divide the integer numerators by the primitive part of the divisor:
 by Gauss's lemma the quotient is an integer polynomial whenever the
 division is exact, so the first leading coefficient that does not divide
-proves there is a remainder.  Only then does ``divmod`` fall back to
-rational long division for its quotient and remainder.
+proves there is a remainder.  Only then does ``divmod`` pseudo-divide the
+numerators in the kernel and scale its quotient and remainder back over
+one denominator each.
 """
 
 from __future__ import annotations
@@ -177,20 +178,10 @@ class UniPoly:
         if quot is not None:
             # self / other = (self.ints / b) * other.den / (self.den * c)
             return _canon([x * other.den for x in quot], self.den * c), ZERO
-        rem = list(self.coeffs)
-        dg = other.degree
-        glc = other.lc
-        divisor = other.coeffs
-        quot = [Fraction(0)] * max(len(rem) - dg, 1)
-        while len(rem) - 1 >= dg and rem:
-            q = rem[-1] / glc
-            shift = len(rem) - 1 - dg
-            quot[shift] = q
-            for i, d in enumerate(divisor):
-                rem[shift + i] -= q * d
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return UniPoly(quot), UniPoly(rem)
+        # lb^e * self.ints = q * b + r, with lb = lc(b): scale both back
+        q, r = kernel.pseudo_divmod(self.ints, b)
+        den = self.den * b[-1] ** max(len(self.ints) - len(b) + 1, 0)
+        return _canon([x * other.den for x in q], den * c), _canon(r, den)
 
     def __floordiv__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[0]

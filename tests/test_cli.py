@@ -148,6 +148,23 @@ def test_identities_degree_two_fails(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "nd_mmax",
+    [("1", "1", "3"), ("0", "1", "8"), ("-1", "1", "8"), ("2", "0", "8"), ("2", "2", "7")],
+)
+def test_identities_bad_range_is_usage_error(nd_mmax, capsys):
+    n, d, mmax = nd_mmax
+    assert run(["identities", "--n", n, "--d", d, "--mmax", mmax]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "identities" in captured.err
+
+
+def test_identities_accepts_mmax_at_four_d(capsys):
+    assert run(["identities", "--n", "1", "--d", "2", "--mmax", "8"]) == 0
+    assert capsys.readouterr().out.startswith("# seed=0\n")
+
+
 def test_sweep_full_run(capsys):
     assert run(SWEEP) == 0
     out = capsys.readouterr().out
@@ -222,6 +239,8 @@ def test_exp_slopes_tracks_dichotomy(capsys):
     rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
     assert all(r.split(",")[1] == "0" for r in rows)
     assert run(["exp-slopes", "--a", "1", "--b", "sqrt12", "--kmax", "3"]) == 3
+    assert run(["exp-slopes", "--a", "sqrt10000000000000061", "--b", "1", "--kmax", "1"]) == 3
+    assert "cap" in capsys.readouterr().err
 
 
 def test_determinism_byte_identical(capsys):

@@ -214,3 +214,13 @@ def test_parse_and_format_quad():
         parse_quad("1+sqrt2+sqrt3")
     with pytest.raises(ParseError):
         parse_quad("")
+
+
+def test_parse_quad_caps_the_discriminant():
+    from torigcd.errors import ParseError
+
+    # the largest squarefree d up to the cap 10^12
+    assert parse_quad("sqrt999999999998") == q(0, 1, 999999999998)
+    for text in ("sqrt1000000000001", "2*sqrt10000000000000061", "1+sqrt" + "9" * 5000):
+        with pytest.raises(ParseError, match="cap"):
+            parse_quad(text)

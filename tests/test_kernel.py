@@ -96,18 +96,25 @@ def test_content_and_primitive_part(backend):
         assert [c * scale for c in pp] == p
 
 
-def test_pseudo_rem_is_scaled_remainder(backend):
+def test_pseudo_divmod_is_scaled_division(backend):
     rng = random.Random(23)
-    for _ in range(120):
+    for _ in range(160):
         f = backend.normalize(_rand_poly(rng, 8))
         g = backend.normalize(_rand_poly(rng, 5))
-        if not g or len(f) < len(g):
+        if not g:
             continue
-        r = backend.pseudo_rem(f, g)
-        e = len(f) - len(g) + 1
-        scaled = [Fraction(x) * Fraction(g[-1]) ** e for x in f]
-        _, rem = _frac_divmod(scaled, g)
-        assert [Fraction(x) for x in backend.normalize(r)] == rem
+        q, r = backend.pseudo_divmod(f, g)
+        e = max(len(f) - len(g) + 1, 0)
+        scale = g[-1] ** e
+        quo, rem = _frac_divmod([x * scale for x in f], g)
+        assert [Fraction(x) for x in backend.normalize(q)] == quo
+        assert [Fraction(x) for x in r] == rem
+        assert len(r) < len(g)
+        lhs = [x * scale for x in f]
+        rhs = backend.mul(q, g) + [0] * len(f)
+        for i, x in enumerate(r):
+            rhs[i] += x
+        assert lhs == backend.normalize(rhs)
 
 
 def test_gcd_matches_fraction_euclid(backend):

@@ -1,35 +1,22 @@
 """Exact rational linear algebra on top of the integer kernel."""
 
+import math
 import random
 from fractions import Fraction
 
-import pytest
-
-from torigcd.linalg import (
-    left_nullspace,
-    nullspace,
-    primitive_integer_vector,
-    rank,
-    rref,
-)
+from torigcd.linalg import pivots_or_relation, rank
 
 
 def F(x, y=1):
     return Fraction(x, y)
 
 
-def _rand_matrix(rng, nrows, ncols, target_rank):
-    basis = [
-        [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)]
-        for _ in range(target_rank)
-    ]
-    rows = []
-    for _ in range(nrows):
-        combo = [F(0)] * ncols
-        for b in basis:
-            c = F(rng.randint(-3, 3))
-            combo = [x + c * y for x, y in zip(combo, b)]
-        rows.append(combo)
+def _planted_rows(rng, nrows, ncols):
+    """Small int rows; now and then one row is a combination of earlier ones."""
+    rows = [[rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.5:
+        i = rng.randrange(1, nrows)
+        rows[i] = [sum(rng.randint(-3, 3) * rows[j][c] for j in range(i)) for c in range(ncols)]
     return rows
 
 
@@ -41,75 +28,50 @@ def test_rank_examples():
     assert rank([[F(1, 2), F(1, 3)]]) == 1
 
 
-def test_rref_pivots():
-    rows, pivots = rref([[F(0), F(2), F(4)], [F(1), F(1), F(1)]])
-    assert pivots == [0, 1]
-    assert rows[0][:2] == [F(1), F(0)] and rows[1][:2] == [F(0), F(1)]
-    # reduced: pivot columns are unit vectors
-    for i, p in enumerate(pivots):
-        for j, row in enumerate(rows):
-            assert row[p] == (F(1) if i == j else F(0))
+def test_pivot_columns_example():
+    assert pivots_or_relation([[0, 2, 4], [1, 1, 1]]) == (True, [0, 1])
+    assert pivots_or_relation([[0, 0, 3], [0, 1, 0], [2, 0, 5]]) == (True, [0, 1, 2])
+    assert pivots_or_relation([[1, 1, 0, 2], [2, 2, 1, 0]]) == (True, [0, 2])
+    assert pivots_or_relation([]) == (True, [])
 
 
-def test_rref_reproduces_row_space():
-    rng = random.Random(3)
-    for _ in range(40):
-        rows = _rand_matrix(rng, 4, 5, rng.randint(0, 3))
-        red, pivots = rref(rows)
-        assert len(red) == len(rows)  # zero rows retained at the bottom
-        assert len(pivots) == rank(rows)
-        assert all(all(x == 0 for x in row) for row in red[len(pivots):])
-        assert rank(rows + red) == rank(rows)
-
-
-def test_nullspace_orthogonal_and_spanning():
-    rng = random.Random(5)
-    for _ in range(40):
-        ncols = rng.randint(1, 5)
-        rows = _rand_matrix(rng, rng.randint(0, 4), ncols, rng.randint(0, ncols))
-        basis = nullspace(rows, ncols)
-        r = rank(rows)
-        assert len(basis) == ncols - r
-        for v in basis:
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
-        if basis:
-            assert rank(basis) == len(basis)
-
-
-def test_left_nullspace_kills_rows():
-    rows = [[F(1), F(2)], [F(2), F(4)], [F(0), F(1)]]
-    basis = left_nullspace(rows)
-    assert len(basis) == 1
-    w = basis[0]
+def test_relation_kills_rows():
+    rows = [[1, 2], [2, 4], [0, 1]]
+    independent, w = pivots_or_relation(rows)
+    assert not independent
+    assert w == [2, -1, 0]
     for j in range(2):
         assert sum(w[i] * rows[i][j] for i in range(3)) == 0
 
 
-def test_left_nullspace_trivial_for_independent_rows():
-    assert left_nullspace([[F(1), F(0)], [F(0), F(1)]]) == []
+def test_independent_rows_have_no_relation():
+    assert pivots_or_relation([[1, 0], [0, 1]]) == (True, [0, 1])
 
 
-def test_primitive_integer_vector():
-    assert primitive_integer_vector([F(2), F(4), F(-6)]) == [1, 2, -3]
-    assert primitive_integer_vector([F(1, 2), F(1, 3)]) == [3, 2]
-    assert primitive_integer_vector([F(-1), F(-2)]) == [1, 2]  # leading sign positive
-    assert primitive_integer_vector([F(0), F(-3)]) == [0, 1]
-    with pytest.raises(ValueError):
-        primitive_integer_vector([F(0), F(0)])
+def test_relation_is_primitive_with_positive_lead():
+    assert pivots_or_relation([[2, 4], [-1, -2]]) == (False, [1, 2])
+    assert pivots_or_relation([[3, 6], [2, 4]]) == (False, [2, -3])
+    assert pivots_or_relation([[1, 0], [0, 0]]) == (False, [0, 1])  # zero row
+    assert pivots_or_relation([[0, 0], [1, 1]]) == (False, [1, 0])
+    # the first dependent row decides, later rows stay out of the relation
+    assert pivots_or_relation([[1, 1], [2, 2], [0, 1]]) == (False, [2, -1, 0])
 
 
-def test_primitive_vector_is_parallel():
-    rng = random.Random(9)
-    for _ in range(40):
-        v = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)]
-        if all(x == 0 for x in v):
+def test_random_rows_certify_rank():
+    rng = random.Random(3)
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = _planted_rows(rng, nrows, ncols)
+        independent, found = pivots_or_relation(rows)
+        if independent:
+            assert rank(rows) == nrows == len(found)
+            assert found == sorted(found)
+            # the pivot columns alone keep the rank
+            assert rank([[row[c] for c in found] for row in rows]) == nrows
             continue
-        w = primitive_integer_vector(v)
-        assert rank([v, [F(x) for x in w]]) == 1
-        from math import gcd
-
-        g = 0
-        for x in w:
-            g = gcd(g, x)
-        assert g == 1
+        assert rank(rows) < nrows
+        last = max(i for i, x in enumerate(found) if x)
+        assert rank(rows[:last]) == last  # the rows before are independent
+        assert math.gcd(*found) == 1 and next(x for x in found if x) > 0
+        for c in range(ncols):
+            assert sum(w * row[c] for w, row in zip(found, rows)) == 0

@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from torigcd.errors import ParseError
+from torigcd.errors import HypothesisError, ParseError
+from torigcd.expunits import parse_quad
+from torigcd.ordering import parse_order
 from torigcd.parsing import (
     MAX_COEFF_BITS,
     MAX_POWER_DEGREE,
@@ -184,3 +188,50 @@ def test_coefficient_bit_cap_boundary():
             parse_ratfunc(text)
     with pytest.raises(ParseError, match="coefficient cap"):
         parse_multipoly("(2^1000*x0)^10", 1)
+
+
+def test_rational_exponent_cap():
+    assert parse_rational("1e-3") == Fraction(1, 1000)
+    assert parse_rational("1e3010").numerator.bit_length() == MAX_COEFF_BITS
+    for text in ("1e3011", "1E-3011", "1e999999999", "2.5e1_000_000"):
+        with pytest.raises(ParseError, match="coefficient cap"):
+            parse_rational(text)
+
+
+# pieces of every grammar the parsers read, hostile sizes included
+_TOKENS = [
+    "0", "1", "2", "7", "3/2", "99999999999999", "x0", "x1", "x12", "x", "z",
+    "+", "-", "*", "/", "^", "(", ")", " ", ".", ",", ":", "_", "e", "E",
+    "sqrt", "sqrt2", "inf", "oo", "lex", "weight:", "#", "\u00e9",
+]
+_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SOUP)
+def test_parsers_return_or_raise_parse_error(text):
+    """Token soup: every parser returns a value or raises ParseError.
+
+    Only parse_place may also raise HypothesisError, for a constant or
+    non-squarefree place.  The multivariate parser reads two variables: the
+    power cap bounds degree, not term count, so with more variables a short
+    power such as (x0+x1+x2+x3+x4)^40 runs for minutes.
+    """
+    parsers = [
+        parse_ratfunc,
+        parse_unipoly,
+        lambda t: parse_multipoly(t, 2),
+        parse_quad,
+        parse_order,
+        lambda t: parse_order(t, 3),
+        parse_rational,
+    ]
+    for parse in parsers:
+        try:
+            parse(text)
+        except ParseError:
+            pass
+    try:
+        parse_place(text)
+    except (ParseError, HypothesisError):
+        pass
