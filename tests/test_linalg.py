@@ -57,21 +57,50 @@ def test_relation_is_primitive_with_positive_lead():
     assert pivots_or_relation([[1, 1], [2, 2], [0, 1]]) == (False, [2, -1, 0])
 
 
-def test_random_rows_certify_rank():
+def _random_cases():
+    """300 random row sets, each with what `pivots_or_relation` returns on it."""
     rng = random.Random(3)
+    cases = []
     for _ in range(300):
         nrows, ncols = rng.randint(1, 5), rng.randint(1, 6)
         rows = _planted_rows(rng, nrows, ncols)
-        independent, found = pivots_or_relation(rows)
-        if independent:
-            assert rank(rows) == nrows == len(found)
-            assert found == sorted(found)
-            # the pivot columns alone keep the rank
-            assert rank([[row[c] for c in found] for row in rows]) == nrows
+        cases.append((rows, ncols) + pivots_or_relation(rows))
+    return cases
+
+
+def _dependent_cases():
+    found = [(rows, ncols, w) for rows, ncols, independent, w in _random_cases() if not independent]
+    assert len(found) >= 50
+    return found
+
+
+def test_rref_reproduces_row_space():
+    # rank = number of pivots, and the pivot columns alone keep the row space's rank
+    checked = 0
+    for rows, ncols, independent, found in _random_cases():
+        if not independent:
+            assert rank(rows) < len(rows)
             continue
-        assert rank(rows) < nrows
-        last = max(i for i, x in enumerate(found) if x)
-        assert rank(rows[:last]) == last  # the rows before are independent
-        assert math.gcd(*found) == 1 and next(x for x in found if x) > 0
+        assert rank(rows) == len(rows) == len(found)
+        assert found == sorted(found) and all(0 <= c < ncols for c in found)
+        assert rank([[row[c] for c in found] for row in rows]) == len(rows)
+        checked += 1
+    assert checked >= 50
+
+
+def test_nullspace_orthogonal_and_spanning():
+    # the relation kills every column and ends at the first row in the span of those before it
+    for rows, ncols, w in _dependent_cases():
+        assert len(w) == len(rows)
         for c in range(ncols):
-            assert sum(w * row[c] for w, row in zip(found, rows)) == 0
+            assert sum(x * row[c] for x, row in zip(w, rows)) == 0
+        last = max(i for i, x in enumerate(w) if x)
+        assert rank(rows[:last]) == last
+        assert rank(rows[: last + 1]) == last
+
+
+def test_primitive_vector_is_parallel():
+    # the relation is the primitive integer vector with positive first nonzero entry
+    for _, _, w in _dependent_cases():
+        assert all(isinstance(x, int) for x in w)
+        assert math.gcd(*w) == 1 and next(x for x in w if x) > 0
