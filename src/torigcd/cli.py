@@ -1,7 +1,8 @@
 """Command-line front end and deterministic corpus runner.
 
 Exit codes: 0 pass/success, 1 verification failure, 2 hypothesis-gate
-rejection (certificate included in the report), 3 parse or usage error.
+rejection (certificate included in the report), 3 parse or usage error,
+4 internal fault (an exception no other code covers; one line on stderr).
 Reports are CSV for sweep-style tables and JSON for certificates; every
 report records the seed in its header and renders rationals exactly.
 """
@@ -9,6 +10,7 @@ report records the seed in its header and renders rationals exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -44,7 +46,7 @@ from .parsing import (
 )
 from .wronskian import bs_check, ordw_check
 
-PASS, FAIL, REJECTED, USAGE = 0, 1, 2, 3
+PASS, FAIL, REJECTED, USAGE, INTERNAL = 0, 1, 2, 3, 4
 OUTDIR_ENV = "TORIGCD_OUTDIR"
 
 
@@ -337,10 +339,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """build_parser(), built on first use.  Parsing leaves it unchanged, so
+    nested runs (the corpus runner calls run) can share it."""
+    return build_parser()
+
+
 def run(argv: Sequence[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _shared_parser().parse_args(list(argv))
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
@@ -370,6 +378,12 @@ def run(argv: Sequence[str]) -> int:
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
         return REJECTED
+    except Exception as exc:
+        # one line on stderr and no traceback: line breaks in the message fold
+        detail = " ".join(str(exc).split())
+        suffix = f": {detail}" if detail else ""
+        print(f"internal error: {type(exc).__name__}{suffix}", file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

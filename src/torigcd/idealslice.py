@@ -189,16 +189,18 @@ def build_basis_slice(
 
 def coefficient_matrix(
     polys: Sequence[MultiPoly], nvars: int, degree: int
-) -> "list[list[Fraction | int]]":
+) -> "list[list[int]]":
     """Rows = polynomials, columns = degree-m monomials in descending lex order.
 
-    Empty cells hold the int 0; only the cells of terms hold a Fraction.
+    Each row holds the integer numerators of its polynomial, so it is the
+    polynomial times its denominator: the row space, and every rank, is
+    that of the rational coefficient rows.
     """
     columns = {e: i for i, e in enumerate(monomials_of_degree(nvars, degree))}
     rows = []
     for p in polys:
-        row: "list[Fraction | int]" = [0] * len(columns)
-        for e, c in p.terms.items():
+        row = [0] * len(columns)
+        for e, c in p.ints.items():
             row[columns[e]] = c
         rows.append(row)
     return rows

@@ -1,33 +1,46 @@
 """Sparse multivariate polynomials over exact rationals.
 
-A MultiPoly is a map from exponent tuples (one slot per ambient variable) to
-nonzero Fraction coefficients.  Multivariate gcds run by recursive
-content/primitive-part reduction in a main variable with primitive
-pseudo-remainder sequences, bottoming out in the univariate integer kernel;
-no factorization into irreducibles happens anywhere.
+A MultiPoly is stored as a map ``ints`` from exponent tuples (one slot per
+ambient variable) to nonzero integer numerators over one positive
+denominator ``den``, in lowest terms: gcd(content(ints), den) = 1, and the
+zero polynomial is the empty map over 1.  The form is canonical, so two
+polynomials are equal iff their (ints, den) pairs are, and hashing is
+exact.  Arithmetic runs on the integer maps; ``terms`` gives a read-only
+Fraction view for callers that want one.  ``substitute`` and
+``evaluate_poly`` share one evaluation loop over the kernel's integer
+lists.  Multivariate gcds run by recursive content/primitive-part reduction
+in a main variable with primitive pseudo-remainder sequences, bottoming out
+in the univariate integer kernel; no factorization into irreducibles
+happens anywhere.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
+from . import kernel
 from .ratfunc import RationalFunction
 from .unipoly import UniPoly, uni_gcd
+from .unipoly import _canon as _canon_unipoly
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
+IntMap = Dict[Exponent, int]
 
 
 class MultiPoly:
     """Immutable sparse polynomial in a fixed number of variables."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = ("nvars", "ints", "den")
 
     def __init__(self, nvars: int, terms: Mapping[Exponent, Scalar] = ()):
         if nvars < 1:
             raise ValueError("MultiPoly needs at least one variable")
-        clean: Dict[Exponent, Fraction] = {}
+        acc: Dict[Exponent, Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for exp, coeff in items:
             exp = tuple(exp)
@@ -35,13 +48,13 @@ class MultiPoly:
                 raise ValueError(f"bad exponent vector {exp!r} for {nvars} variables")
             c = Fraction(coeff)
             if c:
-                c += clean.get(exp, 0)
-                if c:
-                    clean[exp] = c
-                else:
-                    clean.pop(exp, None)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+                acc[exp] = acc.get(exp, 0) + c
+        fs = {e: c for e, c in acc.items() if c}
+        # the lcm of reduced denominators leaves no factor common to all numerators
+        den = math.lcm(*(c.denominator for c in fs.values()))
+        _set_nvars(self, nvars)
+        _set_ints(self, {e: c.numerator * (den // c.denominator) for e, c in fs.items()})
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -64,46 +77,56 @@ class MultiPoly:
     def monomial(nvars: int, exp: Exponent, c: Scalar = 1) -> "MultiPoly":
         return MultiPoly(nvars, {tuple(exp): c})
 
+    @property
+    def terms(self) -> "Mapping[Exponent, Fraction]":
+        """Read-only Fraction view of the coefficients; built on every access."""
+        den = self.den
+        return MappingProxyType({e: Fraction(c, den) for e, c in self.ints.items()})
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(any(e) for e in self.ints)
 
     def as_constant(self) -> Fraction:
         if self.is_zero():
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.ints.values())), self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.ints)
 
     def total_degree(self) -> int:
         """Max term degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((sum(e) for e in self.ints), default=-1)
 
     def is_homogeneous(self) -> bool:
         """True when all stored terms share one total degree (zero counts)."""
-        degrees = {sum(e) for e in self.terms}
+        degrees = {sum(e) for e in self.ints}
         return len(degrees) <= 1
 
     def degree_in(self, axis: int) -> int:
-        return max((e[axis] for e in self.terms), default=-1)
+        return max((e[axis] for e in self.ints), default=-1)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.ints.get((0,) * self.nvars, 0), self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
-            return self.nvars == other.nvars and self.terms == other.terms
+            return (
+                self.nvars == other.nvars
+                and self.den == other.den
+                and self.ints == other.ints
+            )
         if isinstance(other, (int, Fraction)):
             return self == MultiPoly.constant(self.nvars, other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.ints.items())))
 
     def _check_arity(self, other: "MultiPoly") -> None:
         if self.nvars != other.nvars:
@@ -112,21 +135,32 @@ class MultiPoly:
             )
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _new(self.nvars, {e: -c for e, c in self.ints.items()}, self.den)
+
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        self._check_arity(other)
+        a, b = self.ints, other.ints
+        da, db = self.den, other.den
+        if da != db:
+            g = math.gcd(da, db)
+            a = {e: c * (db // g) for e, c in a.items()}
+            b = {e: c * (da // g) for e, c in b.items()}
+            da = da * (db // g)
+        out = dict(a)
+        for e, c in b.items():
+            s = out.get(e, 0) + sign * c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return _canon(self.nvars, out, da)
 
     def __add__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        self._check_arity(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return MultiPoly(self.nvars, out)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -134,34 +168,28 @@ class MultiPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._combine(self, -1)
 
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return MultiPoly(self.nvars)
-            return MultiPoly(
-                self.nvars, {e: c * other for e, c in self.terms.items()}
+            c = Fraction(other)
+            if not c:
+                return _zero(self.nvars)
+            return _canon(
+                self.nvars,
+                {e: x * c.numerator for e, x in self.ints.items()},
+                self.den * c.denominator,
             )
         if not isinstance(other, MultiPoly):
             return NotImplemented
         self._check_arity(other)
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return MultiPoly(self.nvars, out)
+        return _canon(self.nvars, _mul_maps(self.ints, other.ints), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -173,24 +201,33 @@ class MultiPoly:
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        if k == 0:
+            return MultiPoly.constant(self.nvars, 1)
+        # content^k stays coprime to den^k, so the power needs no reduction
+        result = None
+        base = self.ints
+        e = k
+        while e:
+            if e & 1:
+                result = base if result is None else _mul_maps(result, base)
+            e >>= 1
+            if e:
+                base = _mul_maps(base, base)
+        return _new(self.nvars, result, self.den**k)
 
     def mul_monomial(self, exp: Exponent, c: Scalar = 1) -> "MultiPoly":
         """Product with c * x^exp, by exponent shift."""
         exp = tuple(exp)
-        return MultiPoly(
+        c = Fraction(c)
+        if not c:
+            return _zero(self.nvars)
+        return _canon(
             self.nvars,
             {
-                tuple(a + b for a, b in zip(e, exp)): coeff * c
-                for e, coeff in self.terms.items()
+                tuple(map(add, e, exp)): x * c.numerator
+                for e, x in self.ints.items()
             },
+            self.den * c.denominator,
         )
 
     def _coerce(self, value) -> "MultiPoly | None":
@@ -202,13 +239,62 @@ class MultiPoly:
 
     def sorted_terms(self) -> "list[tuple[Exponent, Fraction]]":
         """Terms in descending lexicographic exponent order."""
-        return sorted(self.terms.items(), key=lambda t: t[0], reverse=True)
+        den = self.den
+        return [
+            (e, Fraction(c, den))
+            for e, c in sorted(self.ints.items(), key=lambda t: t[0], reverse=True)
+        ]
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.nvars}, {dict(self.sorted_terms())!r})"
 
     def __str__(self) -> str:
         return format_multipoly(self)
+
+
+_set_nvars = MultiPoly.nvars.__set__
+_set_ints = MultiPoly.ints.__set__
+_set_den = MultiPoly.den.__set__
+
+
+def _new(nvars: int, ints: IntMap, den: int) -> MultiPoly:
+    """Wrap a map and denominator that are already canonical."""
+    F = object.__new__(MultiPoly)
+    _set_nvars(F, nvars)
+    _set_ints(F, ints)
+    _set_den(F, den)
+    return F
+
+
+def _zero(nvars: int) -> MultiPoly:
+    return _new(nvars, {}, 1)
+
+
+def _canon(nvars: int, ints: IntMap, den: int) -> MultiPoly:
+    """The polynomial ints/den in canonical form; ints holds no zero, den != 0."""
+    if not ints:
+        return _zero(nvars)
+    if den < 0:
+        ints = {e: -c for e, c in ints.items()}
+        den = -den
+    if den != 1:
+        g = math.gcd(den, *ints.values())
+        if g != 1:
+            ints = {e: c // g for e, c in ints.items()}
+            den //= g
+    return _new(nvars, ints, den)
+
+
+def _mul_maps(a: IntMap, b: IntMap) -> IntMap:
+    """Product of two integer term maps, zeros dropped."""
+    out: IntMap = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(add, e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    if 0 in out.values():
+        out = {e: c for e, c in out.items() if c}
+    return out
 
 
 def format_multipoly(F: MultiPoly, first_index: int = 0) -> str:
@@ -239,26 +325,22 @@ def homogenize(F: MultiPoly, d: int) -> MultiPoly:
     """Degree-d homogenization: x0^d * F(x1/x0, ..., xn/x0) in n+1 variables."""
     if d < F.total_degree():
         raise ValueError("homogenization degree below the total degree")
-    if F.is_zero():
-        return MultiPoly(F.nvars + 1)
-    return MultiPoly(
-        F.nvars + 1, {(d - sum(e), *e): c for e, c in F.terms.items()}
-    )
+    return _new(F.nvars + 1, {(d - sum(e), *e): c for e, c in F.ints.items()}, F.den)
 
 
 def dehomogenize(F: MultiPoly) -> MultiPoly:
     """Set the first variable to 1, dropping it from the ring."""
     if F.nvars < 2:
         raise ValueError("dehomogenize needs at least two variables")
-    out: Dict[Exponent, Fraction] = {}
-    for e, c in F.terms.items():
+    out: IntMap = {}
+    for e, c in F.ints.items():
         key = e[1:]
-        s = out.get(key, Fraction(0)) + c
+        s = out.get(key, 0) + c
         if s:
             out[key] = s
         else:
-            out.pop(key, None)
-    return MultiPoly(F.nvars - 1, out)
+            del out[key]
+    return _canon(F.nvars - 1, out, F.den)
 
 
 def equalize_degrees(F: MultiPoly, G: MultiPoly) -> "tuple[MultiPoly, MultiPoly]":
@@ -272,61 +354,89 @@ def power_vars(F: MultiPoly, k: int) -> MultiPoly:
     """Replace every variable by its k-th power."""
     if k < 1:
         raise ValueError("power substitution needs k >= 1")
-    return MultiPoly(
-        F.nvars, {tuple(k * x for x in e): c for e, c in F.terms.items()}
-    )
+    return _new(F.nvars, {tuple(k * x for x in e): c for e, c in F.ints.items()}, F.den)
 
 
 def substitute(F: MultiPoly, hs: Sequence[RationalFunction]) -> RationalFunction:
     """The reduced rational function F(h_1, ..., h_n).
 
-    With h_i = p_i/q_i and t_i = deg_{x_i} F, the value is
-    sum_e c_e prod_i p_i^e_i q_i^(t_i - e_i) over the common denominator
-    prod_i q_i^t_i.  The numerator is computed in the polynomial ring and the
-    quotient is reduced once.
+    Each h_i = (P_i/a_i) / (Q_i/b_i), with integer polynomials P_i, Q_i and
+    scalar denominators a_i, b_i, enters as the integer pair (b_i P_i, a_i Q_i);
+    see ``_evaluate``.  The quotient is reduced once.
     """
     if len(hs) != F.nvars:
         raise ValueError(f"expected {F.nvars} argument functions, got {len(hs)}")
-    tops = [max(F.degree_in(axis), 0) for axis in range(F.nvars)]
-    cleared = MultiPoly(
-        2 * F.nvars,
-        {
-            tuple(x for e_i, t in zip(e, tops) for x in (e_i, t - e_i)): c
-            for e, c in F.terms.items()
-        },
-    )
-    den = UniPoly.constant(1)
-    for h, t in zip(hs, tops):
-        den = den * h.den**t
-    return RationalFunction(
-        evaluate_poly(cleared, [p for h in hs for p in (h.num, h.den)]), den
-    )
+    pairs = [
+        (_scaled(h.num.ints, h.den.den), _scaled(h.den.ints, h.num.den)) for h in hs
+    ]
+    num, den = _evaluate(F, pairs)
+    return RationalFunction(_canon_unipoly(num, F.den), _canon_unipoly(list(den), 1))
 
 
 def evaluate_poly(F: MultiPoly, gs: Sequence[UniPoly]) -> UniPoly:
-    """F evaluated at a tuple of univariate polynomials."""
+    """F evaluated at a tuple of univariate polynomials.
+
+    Each g_i = P_i/a_i enters ``_evaluate`` as the integer pair (P_i, a_i).
+    """
     if len(gs) != F.nvars:
         raise ValueError(f"expected {F.nvars} argument polynomials, got {len(gs)}")
-    powers: "list[list[UniPoly]]" = []
-    for axis, g in enumerate(gs):
-        top = F.degree_in(axis)
-        cache = [UniPoly.constant(1)]
-        for _ in range(max(top, 0)):
-            cache.append(cache[-1] * g)
-        powers.append(cache)
-    acc = UniPoly()
-    for exp, coeff in F.sorted_terms():
-        term = UniPoly.constant(coeff)
-        for axis, e in enumerate(exp):
-            if e:
-                term = term * powers[axis][e]
-        acc = acc + term
-    return acc
+    num, den = _evaluate(F, [(list(g.ints), [g.den]) for g in gs])
+    return _canon_unipoly(num, F.den * den[0])
+
+
+_ONE = [1]
+
+
+def _scaled(ints: "Sequence[int]", c: int) -> "list[int]":
+    return list(ints) if c == 1 else [c * x for x in ints]
+
+
+def _powers(base: "list[int]", top: int) -> "list[list[int]]":
+    """[base^0, ..., base^top] by kernel products; base^0 is the shared _ONE."""
+    if base == _ONE:
+        return [_ONE] * (top + 1)
+    table = [_ONE, base][: top + 1]
+    while len(table) <= top:
+        table.append(kernel.mul(table[-1], base))
+    return table
+
+
+def _evaluate(
+    F: MultiPoly, pairs: "Sequence[tuple[list[int], list[int]]]"
+) -> "tuple[list[int], list[int]]":
+    """(N, Q) with F(P_1/Q_1, ..., P_n/Q_n) = N / (F.den * Q), on int lists.
+
+    With t_i = deg_{x_i} F and F = sum_e c_e x^e / F.den, the numerator is
+    N = sum_e c_e prod_i P_i^e_i Q_i^(t_i - e_i) and Q = prod_i Q_i^t_i.
+    Products with the power 1 are skipped, and each term's product is
+    scaled by its integer coefficient as it is added into N.
+    """
+    tops = [max(F.degree_in(axis), 0) for axis in range(F.nvars)]
+    tables = [
+        (_powers(p, t), _powers(q, t), t) for (p, q), t in zip(pairs, tops)
+    ]
+    acc: "list[int]" = []
+    for exp, c in F.ints.items():
+        prod = _ONE
+        for e, (ptab, qtab, t) in zip(exp, tables):
+            for f in (ptab[e], qtab[t - e]):
+                if f is not _ONE:
+                    prod = f if prod is _ONE else kernel.mul(prod, f)
+        if len(acc) < len(prod):
+            acc.extend([0] * (len(prod) - len(acc)))
+        for i, x in enumerate(prod):
+            if x:
+                acc[i] += c * x
+    den = _ONE
+    for _, qtab, t in tables:
+        if qtab[t] is not _ONE:
+            den = qtab[t] if den is _ONE else kernel.mul(den, qtab[t])
+    return kernel.normalize(acc), den
 
 
 def _active_vars(F: MultiPoly) -> "list[int]":
     seen = set()
-    for e in F.terms:
+    for e in F.ints:
         for axis, x in enumerate(e):
             if x:
                 seen.add(axis)
@@ -335,23 +445,26 @@ def _active_vars(F: MultiPoly) -> "list[int]":
 
 def _by_var(F: MultiPoly, axis: int) -> "dict[int, MultiPoly]":
     """View F as a polynomial in one variable with MultiPoly coefficients."""
-    slices: Dict[int, Dict[Exponent, Fraction]] = {}
-    for e, c in F.terms.items():
+    slices: Dict[int, IntMap] = {}
+    for e, c in F.ints.items():
         key = e[axis]
         rest = list(e)
         rest[axis] = 0
         slices.setdefault(key, {})[tuple(rest)] = c
-    return {j: MultiPoly(F.nvars, t) for j, t in slices.items()}
+    return {j: _canon(F.nvars, t, F.den) for j, t in slices.items()}
 
 
 def _from_var(rep: Mapping[int, MultiPoly], axis: int, nvars: int) -> MultiPoly:
-    out: Dict[Exponent, Fraction] = {}
+    # over the lcm of the reduced denominators no factor is common to all numerators
+    den = math.lcm(*(coeff.den for coeff in rep.values()))
+    out: IntMap = {}
     for j, coeff in rep.items():
-        for e, c in coeff.terms.items():
+        scale = den // coeff.den
+        for e, c in coeff.ints.items():
             lifted = list(e)
             lifted[axis] += j
-            out[tuple(lifted)] = c
-    return MultiPoly(nvars, out)
+            out[tuple(lifted)] = c * scale
+    return _new(nvars, out, den)
 
 
 def mv_exact_div(A: MultiPoly, B: MultiPoly) -> MultiPoly:
@@ -360,7 +473,7 @@ def mv_exact_div(A: MultiPoly, B: MultiPoly) -> MultiPoly:
     if B.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if A.is_zero():
-        return MultiPoly(A.nvars)
+        return _zero(A.nvars)
     if B.is_constant():
         return A * (Fraction(1) / B.as_constant())
     axis = _active_vars(B)[-1]
@@ -400,28 +513,27 @@ def _mv_pseudo_rem(A: MultiPoly, B: MultiPoly, axis: int) -> MultiPoly:
 
 
 def _as_unipoly(F: MultiPoly, axis: int) -> UniPoly:
-    coeffs = [Fraction(0)] * (F.degree_in(axis) + 1)
-    for e, c in F.terms.items():
-        coeffs[e[axis]] = c
-    return UniPoly(coeffs)
+    ints = [0] * (F.degree_in(axis) + 1)
+    for e, c in F.ints.items():
+        ints[e[axis]] = c
+    return _canon_unipoly(ints, F.den)
 
 
 def _from_unipoly(p: UniPoly, axis: int, nvars: int) -> MultiPoly:
-    terms: Dict[Exponent, Fraction] = {}
-    for j, c in enumerate(p.coeffs):
+    terms: IntMap = {}
+    for j, c in enumerate(p.ints):
         if c:
             e = [0] * nvars
             e[axis] = j
             terms[tuple(e)] = c
-    return MultiPoly(nvars, terms)
+    return _new(nvars, terms, p.den)
 
 
 def _normalize_lead(F: MultiPoly) -> MultiPoly:
     """Scale so the lexicographically greatest term has coefficient 1."""
     if F.is_zero():
         return F
-    lead = max(F.terms)
-    return F * (Fraction(1) / F.terms[lead])
+    return _canon(F.nvars, F.ints, F.ints[max(F.ints)])
 
 
 def mv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:

@@ -92,7 +92,7 @@ def trailing_monomial(F: MultiPoly, order: MonomialOrder) -> Exponent:
     if F.is_zero():
         raise ValueError("trailing monomial of the zero polynomial")
     best = None
-    for exp in F.terms:
+    for exp in F.ints:
         if best is None or order.compare(exp, best) < 0:
             best = exp
     return best

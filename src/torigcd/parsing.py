@@ -8,7 +8,8 @@ anywhere; multivariate input may divide by constants only.  A power whose
 degree, counting a constant base as degree 1, would exceed MAX_POWER_DEGREE
 is rejected before it is built, and so is a power whose exponent times the
 largest bit length of a numerator or denominator among the coefficients of
-its base would exceed MAX_COEFF_BITS.  An integer literal of more than
+its base would exceed MAX_COEFF_BITS, and so is a multivariate power whose
+term count could exceed MAX_POWER_TERMS.  An integer literal of more than
 MAX_COEFF_BITS bits is rejected before it is converted, and so is a
 variable index that long.  MAX_SLICE_MONOMIALS, the largest slice the
 `basis` and `bs-check` subcommands accept, sits here with the other caps.
@@ -26,6 +27,8 @@ from .ratfunc import Place, RationalFunction
 from .unipoly import UniPoly
 
 MAX_POWER_DEGREE = 1000
+# a one-variable power the degree cap accepts has at most this many terms
+MAX_POWER_TERMS = MAX_POWER_DEGREE + 1
 MAX_COEFF_BITS = 10000
 # largest graded slice `basis` and `bs-check` build: C(m+n, n) monomials of
 # degree m in n+1 variables, the column count of the slice's rank matrices
@@ -139,6 +142,11 @@ class _Parser:
                     f"power too large: exponent {k} on coefficients of {bits} bits"
                     f" exceeds the coefficient cap of {MAX_COEFF_BITS} bits"
                 )
+            if self.alg.term_bound(value, k) > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"power too large: exponent {k} can give more terms than"
+                    f" the term cap {MAX_POWER_TERMS}"
+                )
             value = value**k
         return value
 
@@ -175,6 +183,11 @@ class _UniAlgebra:
     def coeff_bits(self, f: RationalFunction) -> int:
         return _bits(f.num.coeffs + f.den.coeffs)
 
+    def term_bound(self, f: RationalFunction, k: int) -> int:
+        """Most coefficients of the numerator or denominator of f^k; the
+        degree cap already keeps this within MAX_POWER_TERMS."""
+        return self.degree(f) * k + 1
+
     def div(self, a: RationalFunction, b: RationalFunction) -> RationalFunction:
         if b.is_zero():
             raise ParseError("division by zero")
@@ -207,6 +220,21 @@ class _MultiAlgebra:
 
     def coeff_bits(self, F: MultiPoly) -> int:
         return _bits(F.terms.values())
+
+    def term_bound(self, F: MultiPoly, k: int) -> int:
+        """Most terms F^k can have, without building it.
+
+        With t terms, F^k has at most C(k+t-1, t-1) terms, one per multiset
+        of k of them; in n active variables its terms have degree at most
+        k deg F, and there are C(n + k deg F, n) such monomials.
+        """
+        t = len(F.ints)
+        if t <= 1:
+            return 1
+        n = len({axis for e in F.ints for axis, x in enumerate(e) if x})
+        return min(
+            math.comb(k + t - 1, t - 1), math.comb(n + k * F.total_degree(), n)
+        )
 
     def div(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if b.is_zero():

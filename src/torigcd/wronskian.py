@@ -198,7 +198,7 @@ def bs_check(
                 {"element": format_multipoly(beta)},
             )
         etas.append(RationalFunction(val, h))
-    exps = set(s.F1.terms) | set(s.F2.terms)
+    exps = set(s.F1.ints) | set(s.F2.ints)
     min_ui = min(sum(a * b for a, b in zip(u, e)) for e in exps)
     lhs = consts.c * sum(u) - binom(m + n - 2 * d, n) * min_ui
     rhs = sum(_vplus(eta, pl) for eta in etas)

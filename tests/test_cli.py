@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: exit codes, headers, determinism, corpus runs."""
 
 import json
+import pathlib
 
 import pytest
 
+from torigcd import cli
 from torigcd.cli import run
 from torigcd.parsing import MAX_SLICE_MONOMIALS
 
@@ -305,11 +307,56 @@ def test_corpus_missing_dir(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_shipped_corpus_passes(capsys):
-    import pathlib
+SHIPPED = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
-    shipped = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+
+def test_shipped_corpus_passes(capsys):
+    shipped = SHIPPED
     if not shipped.is_dir():
         pytest.skip("shipped corpus not present")
     assert run(["corpus", str(shipped)]) == 0
+    capsys.readouterr()
+
+
+def test_shipped_cases_repeat_byte_for_byte(capsys):
+    """The parser is built once per process: runs in one process, with a
+    usage error between them, give the same exit codes and the same bytes."""
+    cases = sorted(SHIPPED.glob("*.json"))
+    if not cases:
+        pytest.skip("shipped corpus not present")
+
+    def run_all():
+        results = []
+        for case in cases:
+            config = json.loads(case.read_text())
+            code = run([str(x) for x in config["argv"]])
+            assert code == int(config.get("expect_exit", 0)), case.name
+            results.append((case.name, code, capsys.readouterr()))
+        return results
+
+    first = run_all()
+    assert run(["gcd-sweep", "--F", "x1"]) == 3
+    assert "required" in capsys.readouterr().err
+    assert run_all() == first
+
+
+def test_internal_fault_exits_4(capsys, monkeypatch):
+    def fault(_):
+        raise AssertionError("witness does not\nkill the rows")
+
+    monkeypatch.setattr(cli, "mult_independent", fault)
+    assert run(["indep", "--g", "z", "--g", "z+1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: AssertionError: witness does not kill the rows\n"
+
+    def bare_fault(_):
+        raise AssertionError
+
+    monkeypatch.setattr(cli, "mult_independent", bare_fault)
+    assert run(["indep", "--g", "z"]) == 4
+    assert capsys.readouterr().err == "internal error: AssertionError\n"
+    # the mapped exceptions keep their codes
+    monkeypatch.setattr(cli, "mult_independent", lambda _: 1 / 0)
+    assert run(["indep", "--g", "z"]) == 2
     capsys.readouterr()

@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials: ring laws, gcd, substitution devices."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -226,3 +227,92 @@ def test_format_round_trip():
         }
         F = MultiPoly(NVARS, terms)
         assert mp(format_multipoly(F)) == F
+
+
+def _assert_canonical(F):
+    """Integer numerators over one positive denominator, in lowest terms."""
+    assert type(F.den) is int and F.den > 0
+    assert all(type(c) is int and c for c in F.ints.values())
+    assert math.gcd(F.den, *F.ints.values()) == 1
+    if F.is_zero():
+        assert F.ints == {} and F.den == 1
+
+
+@given(mpolys, mpolys, st.integers(0, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
+@settings(max_examples=120, deadline=None)
+def test_integer_form_is_canonical(a, b, k, c):
+    for F in (a, b, a + b, a - b, -a, a * b, a * c, a**k, a.mul_monomial((1, 0, 2), c),
+              homogenize(a, max(a.total_degree(), 0) + 1), power_vars(a, 2)):
+        _assert_canonical(F)
+    _assert_canonical(dehomogenize(homogenize(a, max(a.total_degree(), 0))))
+
+
+def test_integer_form_examples():
+    F = mp("3/4*x0^2-1/6*x1+2")
+    assert F.ints == {(2, 0, 0): 9, (0, 1, 0): -2, (0, 0, 0): 24} and F.den == 12
+    G = mp("4*x0-6*x1")
+    assert G.ints == {(1, 0, 0): 4, (0, 1, 0): -6} and G.den == 1
+    assert (G / 4).ints == {(1, 0, 0): 2, (0, 1, 0): -3} and (G / 4).den == 2
+    assert mp("0").ints == {} and mp("0").den == 1
+    assert (F - F).ints == {} and (F - F).den == 1
+
+
+def test_terms_is_a_read_only_fraction_view():
+    F = mp("3/4*x0^2-1/6*x1+2")
+    assert F.terms == {
+        (2, 0, 0): Fraction(3, 4), (0, 1, 0): Fraction(-1, 6), (0, 0, 0): Fraction(2),
+    }
+    assert all(type(c) is Fraction for c in F.terms.values())
+    with pytest.raises(TypeError):
+        F.terms[(0, 0, 0)] = Fraction(1)
+    assert MultiPoly(NVARS, F.terms) == F
+
+
+def test_equality_and_hash_across_fraction_and_int_input():
+    exp = (1, 0, 2)
+    as_int = MultiPoly(NVARS, {exp: 2, (0, 0, 0): -3})
+    as_fraction = MultiPoly(NVARS, {exp: Fraction(4, 2), (0, 0, 0): Fraction(-3)})
+    merged = MultiPoly(NVARS, [(exp, Fraction(1, 2)), (exp, Fraction(3, 2)), ((0, 0, 0), -3)])
+    assert as_int == as_fraction == merged
+    assert hash(as_int) == hash(as_fraction) == hash(merged)
+    half = MultiPoly(NVARS, {exp: Fraction(1, 2)})
+    assert half != MultiPoly(NVARS, {exp: 1}) and half * 2 == MultiPoly(NVARS, {exp: 1})
+    assert mp("5/3") == Fraction(5, 3) and mp("7") == 7 and mp("0") == 0
+    assert len({as_int, as_fraction, merged, half}) == 2
+
+
+# (nvars, F, G, mv_gcd(F, G)) recorded from the Fraction-coefficient
+# implementation; G and F share a planted random factor
+MV_GCD_RECORDED = [
+    (2, "4/3*x0^4*x1^4+4*x0^3*x1^2-4*x0^2*x1^2", "16/3*x0^3*x1^4+2/3*x0^3*x1^3", "x0^2*x1^2"),
+    (2, "4/3*x0^2*x1^3-1/2*x0*x1^3", "x0^2*x1^3-2/3*x1^2", "x1^2"),
+    (2, "-3*x0^3*x1^3-3/2*x0^3*x1^2-6*x0*x1^3-3*x0*x1^2", "-4*x0*x1^4-2*x0*x1^3",
+     "x0*x1^3+1/2*x0*x1^2"),
+    (2, "3*x0^2*x1+9*x1-9", "4*x0^2*x1-6*x1", "1"),
+    (2, "-4*x0^3", "2*x0^3", "x0^3"),
+    (3, "-16/3*x0^2*x1^4-12*x0*x1^4*x2-16*x1^2*x2^2",
+     "16/3*x0^4*x1^4-16/3*x0^4*x1^2*x2+12*x0^3*x1^4*x2-12*x0^3*x1^2*x2^2"
+     "+16*x0^2*x1^2*x2^2-16*x0^2*x2^3",
+     "x0^2*x1^2+9/4*x0*x1^2*x2+3*x2^2"),
+    (2, "-x0^3*x1^2-1/3*x0^3*x1+x0^2*x1+1/3*x0^2", "-2*x0^2*x1^3+x0^2*x1+2*x0*x1^2-x0",
+     "x0^2*x1-x0"),
+    (2, "8*x0^4*x1^3-4*x0^2*x1^3", "4*x0^3*x1-2*x0*x1", "x0^3*x1-1/2*x0*x1"),
+    (2, "4*x0^2*x1+7*x0*x1-2*x1", "3*x0*x1^2+6*x1^2", "x0*x1+2*x1"),
+    (3, "6*x0^3*x1^2*x2+x0^2*x1^3-2/3*x0^2*x1^2*x2^2",
+     "-6*x0^3*x1^2*x2^3-x0^2*x1^3*x2^2-9*x0^2*x1^3*x2+2/3*x0^2*x1^2*x2^4"
+     "-3/2*x0*x1^4+x0*x1^3*x2^2",
+     "x0^2*x1^2*x2+1/6*x0*x1^3-1/9*x0*x1^2*x2^2"),
+    (3, "-8/3*x0^2*x1^2*x2+4/3*x0^2*x2-2*x0*x2", "8/3*x0^2*x2^2", "x0*x2"),
+    (2, "-4*x0^2+6*x1^2", "-2*x0^2*x1^2+2/3*x0^2", "1"),
+    (2, "-2/3*x0^3*x1^4-1/3*x0^3*x1^2", "4/9*x0^4*x1^3-8/9*x0^2*x1^3", "x0^2*x1^2"),
+    (2, "9*x0^4*x1^2-12*x0^3*x1^3", "-6*x0^3*x1^3+3*x0^3*x1^2", "x0^3*x1^2"),
+    (2, "8/3*x0^2*x1^2-16/3*x0*x1", "-16/3*x0", "x0"),
+    (2, "2*x0^3*x1", "-3/2*x0^2*x1^3+3*x0^2*x1^2", "x0^2*x1"),
+]
+
+
+@pytest.mark.parametrize("nvars, F, G, gcd", MV_GCD_RECORDED)
+def test_mv_gcd_matches_recorded_results(nvars, F, G, gcd):
+    g = mv_gcd(mp(F, nvars), mp(G, nvars))
+    _assert_canonical(g)
+    assert format_multipoly(g) == gcd

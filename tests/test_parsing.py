@@ -12,6 +12,7 @@ from torigcd.ordering import parse_order
 from torigcd.parsing import (
     MAX_COEFF_BITS,
     MAX_POWER_DEGREE,
+    MAX_POWER_TERMS,
     infer_homogeneous_nvars,
     parse_multipoly,
     parse_place,
@@ -157,6 +158,21 @@ def test_power_degree_cap_boundary():
         parse_multipoly(f"(x0*x1)^{cap // 2 + 1}", 2)
 
 
+def test_power_term_cap_boundary():
+    # C(14, 4) = 1001 terms in five variables, C(15, 4) = 1365 one step on
+    assert MAX_POWER_TERMS == 1001
+    assert len(parse_multipoly("(x0+x1+x2+x3+x4)^10", 5).ints) == MAX_POWER_TERMS
+    assert len(parse_multipoly("(x0+x1)^1000", 2).ints) == MAX_POWER_TERMS
+    for text in ("(x0+x1+x2+x3+x4)^11", "(x0+x1+x2+x3+x4)^40", "(x0+x1+1)^44"):
+        with pytest.raises(ParseError, match="term cap"):
+            parse_multipoly(text, 5)
+    # the degree bound applies when the terms bound overcounts: 1 + 9k
+    base = "+".join(f"x0^{j}" for j in range(10))
+    assert parse_multipoly(f"({base})^111", 1).total_degree() == 999
+    # every one-variable power the degree cap accepts stays accepted
+    assert len(parse_multipoly(f"(x0+1)^{MAX_POWER_DEGREE}", 1).ints) == MAX_POWER_TERMS
+
+
 def test_long_integer_literal_is_parse_error():
     # over 4300 digits, int() itself would raise a plain ValueError
     with pytest.raises(ParseError, match="coefficient cap"):
@@ -200,7 +216,7 @@ def test_rational_exponent_cap():
 
 # pieces of every grammar the parsers read, hostile sizes included
 _TOKENS = [
-    "0", "1", "2", "7", "3/2", "99999999999999", "x0", "x1", "x12", "x", "z",
+    "0", "1", "2", "7", "3/2", "99999999999999", "x0", "x1", "x4", "x12", "x", "z",
     "+", "-", "*", "/", "^", "(", ")", " ", ".", ",", ":", "_", "e", "E",
     "sqrt", "sqrt2", "inf", "oo", "lex", "weight:", "#", "\u00e9",
 ]
@@ -213,14 +229,14 @@ def test_parsers_return_or_raise_parse_error(text):
     """Token soup: every parser returns a value or raises ParseError.
 
     Only parse_place may also raise HypothesisError, for a constant or
-    non-squarefree place.  The multivariate parser reads two variables: the
-    power cap bounds degree, not term count, so with more variables a short
-    power such as (x0+x1+x2+x3+x4)^40 runs for minutes.
+    non-squarefree place.  The multivariate parser reads five variables,
+    where only the term cap stops a short power such as
+    (x0+x1+x2+x3+x4)^40 from running for minutes.
     """
     parsers = [
         parse_ratfunc,
         parse_unipoly,
-        lambda t: parse_multipoly(t, 2),
+        lambda t: parse_multipoly(t, 5),
         parse_quad,
         parse_order,
         lambda t: parse_order(t, 3),
