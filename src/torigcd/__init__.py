@@ -6,8 +6,8 @@ with integer valuations at places, graded slices of two-generator ideals,
 degree-level (slope) Nevanlinna quantities, Wronskian inequalities, and
 closed-form slopes for exponential units with quadratic-field frequencies.
 
-Hot polynomial kernels (heuristic integer gcd with a primitive-remainder
-fallback, fraction-free rank) live in ``torigcd.kernel``.
+Hot polynomial kernels (heuristic integer gcd over growing evaluation
+points, fraction-free rank) live in ``torigcd.kernel``.
 """
 
 from .errors import HypothesisError, ParseError

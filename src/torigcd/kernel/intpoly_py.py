@@ -2,9 +2,9 @@
 
 A polynomial is a list of ints, index = exponent, with no trailing zeros;
 the zero polynomial is the empty list.  These routines carry the hot loops
-of the package: univariate products, exact quotients and gcds (the GCDHEU
-heuristic of Char, Geddes and Gonnet, JSC 1989, with the primitive
-pseudo-remainder sequence as its fallback) and exact ranks.
+of the package: univariate products, exact and pseudo-quotients, gcds
+(GCDHEU of Char, Geddes and Gonnet, JSC 1989, over an unbounded sequence of
+evaluation points, which always ends) and exact ranks.
 
 ``bareiss_rank`` keeps the name of the Bareiss elimination it replaced, so
 benchmark records stay comparable across versions.  It no longer rescales
@@ -87,13 +87,22 @@ def pseudo_divmod(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly]":
     return q, normalize(r)
 
 
-HEU_TRIES = 6  # evaluation points GCDHEU tries before the PRS takes over
-
-
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd with positive leading coefficient.
+    """Primitive gcd with positive leading coefficient, by GCDHEU.
 
-    GCDHEU first; the primitive PRS when no evaluation point succeeds.
+    Primitive a, b are evaluated at growing integer points x; the balanced
+    base-x digits of gcd(a(x), b(x)) spell a candidate, and the first whose
+    primitive part divides both a and b is returned.  From the first point
+    on, x >= 2*min(|a|, |b|) + 2 (max norms), such a candidate is the gcd
+    (Char, Geddes and Gonnet, JSC 1989).
+
+    The loop ends.  Write a = G*a', b = G*b' with G = gcd(a, b).  Then
+    gcd(a(x), b(x)) = |G(x)| * c with c = gcd(a'(x), b'(x)), and c divides
+    the fixed nonzero integer Res(a', b'), since u*a' + v*b' = Res(a', b')
+    for integer polynomials u, v.  Once x > 2*|Res(a', b')|*|G|, every
+    coefficient of c*G lies below x/2 in absolute value, so the digits spell
+    +-c*G, whose primitive part is G.  The points grow by a factor of about
+    1.25 in bit length, so the number of tries is O(log log) of that bound.
     """
     if not f and not g:
         raise ZeroDivisionError("gcd of two zero polynomials")
@@ -103,32 +112,24 @@ def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     b = primitive_part(g)
     if not a or not b:
         return a or b
-    h = _heu_gcd(a, b)
-    return h if h is not None else _prs_gcd(a, b)
-
-
-def _heu_points(a: IntPoly, b: IntPoly):
-    """The evaluation points GCDHEU tries for primitive a, b.
-
-    The first is 2*min(|a|, |b|) + 2 (max norms): from that bound on, a
-    candidate that divides both inputs is their gcd.  Later points grow
-    like x^(5/4), as in sympy's dup_zz_heu_gcd.
-    """
-    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(HEU_TRIES):
-        yield x
-        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
-
-
-def _heu_gcd(a: IntPoly, b: IntPoly) -> "IntPoly | None":
-    """GCDHEU on primitive nonconstant inputs; None when every point fails."""
     for x in _heu_points(a, b):
         h = primitive_part(_interpolate(math.gcd(_evaluate(a, x), _evaluate(b, x)), x))
         if len(h) == 1:
             return h
         if exact_quotient(a, h) is not None and exact_quotient(b, h) is not None:
             return h
-    return None
+
+
+def _heu_points(a: IntPoly, b: IntPoly):
+    """The endless, increasing evaluation points GCDHEU tries for primitive a, b.
+
+    The first is 2*min(|a|, |b|) + 2 (max norms); later points grow like
+    x^(5/4), as in sympy's dup_zz_heu_gcd.
+    """
+    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        yield x
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
 
 
 def _evaluate(a: IntPoly, x: int) -> int:
@@ -174,16 +175,6 @@ def exact_quotient(a: IntPoly, b: IntPoly) -> "IntPoly | None":
     if any(r[:db]):
         return None
     return quot
-
-
-def _prs_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd of primitive a, b via the primitive PRS."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = primitive_part(pseudo_divmod(a, b)[1])
-        a, b = b, r
-    return a
 
 
 def bareiss_rank(rows: List[List[int]]) -> int:

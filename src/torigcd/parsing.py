@@ -8,10 +8,10 @@ anywhere; multivariate input may divide by constants only.  A power whose
 degree, counting a constant base as degree 1, would exceed MAX_POWER_DEGREE
 is rejected before it is built, and so is a power whose exponent times the
 largest bit length of a numerator or denominator among the coefficients of
-its base would exceed MAX_COEFF_BITS, and so is a multivariate power whose
-term count could exceed MAX_POWER_TERMS.  An integer literal of more than
-MAX_COEFF_BITS bits is rejected before it is converted, and so is a
-variable index that long.  MAX_SLICE_MONOMIALS, the largest slice the
+its base would exceed MAX_COEFF_BITS, and so is a multivariate power or
+product whose term count could exceed MAX_POWER_TERMS.  An integer literal
+of more than MAX_COEFF_BITS bits is rejected before it is converted, and so
+is a variable index that long.  MAX_SLICE_MONOMIALS, the largest slice the
 `basis` and `bs-check` subcommands accept, sits here with the other caps.
 """
 
@@ -110,7 +110,7 @@ class _Parser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.unary()
-            value = value * rhs if op == "*" else self.alg.div(value, rhs)
+            value = self.alg.mul(value, rhs) if op == "*" else self.alg.div(value, rhs)
         return value
 
     def unary(self):
@@ -188,10 +188,18 @@ class _UniAlgebra:
         degree cap already keeps this within MAX_POWER_TERMS."""
         return self.degree(f) * k + 1
 
+    def mul(self, a: RationalFunction, b: RationalFunction) -> RationalFunction:
+        return a * b
+
     def div(self, a: RationalFunction, b: RationalFunction) -> RationalFunction:
         if b.is_zero():
             raise ParseError("division by zero")
         return a / b
+
+
+def _active_count(*polys: MultiPoly) -> int:
+    """Number of variables that occur in at least one of the polynomials."""
+    return len({axis for F in polys for e in F.ints for axis, x in enumerate(e) if x})
 
 
 class _MultiAlgebra:
@@ -231,10 +239,23 @@ class _MultiAlgebra:
         t = len(F.ints)
         if t <= 1:
             return 1
-        n = len({axis for e in F.ints for axis, x in enumerate(e) if x})
+        n = _active_count(F)
         return min(
             math.comb(k + t - 1, t - 1), math.comb(n + k * F.total_degree(), n)
         )
+
+    def mul(self, A: MultiPoly, B: MultiPoly) -> MultiPoly:
+        """A*B, rejected before it is built when it could have more terms
+        than MAX_POWER_TERMS: at most t_A*t_B, and at most C(n + deg A +
+        deg B, n), the monomials of that degree in the n active variables."""
+        n = _active_count(A, B)
+        deg = self.degree(A) + self.degree(B)
+        if min(len(A.ints) * len(B.ints), math.comb(n + deg, n)) > MAX_POWER_TERMS:
+            raise ParseError(
+                f"product too large: factors of {len(A.ints)} and {len(B.ints)}"
+                f" terms can give more terms than the term cap {MAX_POWER_TERMS}"
+            )
+        return A * B
 
     def div(self, a: MultiPoly, b: MultiPoly) -> MultiPoly:
         if b.is_zero():

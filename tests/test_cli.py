@@ -82,6 +82,13 @@ def test_huge_power_is_parse_error(power, capsys):
                 "--g", "z", "--g", "z+1"]) == 3
 
 
+def test_huge_product_is_parse_error(capsys):
+    five = "(x1+x2+x3+x4+x5)^10"
+    argv = ["gcd-sweep", "--F", f"{five}*{five}*{five}", "--G", "x2-1"]
+    assert run(argv + ["--g", "z"] * 5) == 3
+    assert "term cap" in capsys.readouterr().err
+
+
 def test_long_literal_is_parse_error(capsys):
     assert run(["indep", "--g", "1" * 5000 + "*z", "--g", "z+1"]) == 3
     captured = capsys.readouterr()
@@ -100,11 +107,14 @@ def test_sweep_kmax_degree_cap(capsys):
     assert run(SWEEP_BASES + ["z+1", "--kmin", "1001", "--kmax", "1001"]) == 3
     assert run(SWEEP_BASES + ["(z^2+1)/(z-3)", "--kmax", "501"]) == 3
     assert "degree cap" in capsys.readouterr().err
-    # at the cap: one row each, on F, G whose gcds at these k are quick
+    # at the cap: one row each
     at_cap = ["gcd-sweep", "--F", "x1-1", "--G", "x1+1", "--g", "z", "--g"]
     assert run(at_cap + ["z+1", "--kmin", "1000", "--kmax", "1000"]) == 0
     assert run(at_cap + ["z^2+1", "--kmin", "500", "--kmax", "500"]) == 0
     assert capsys.readouterr().out.count("# summary") == 2
+    # z^1000 - 1 and (z+1)^1000 - 1 are coprime, the hardest row the cap admits
+    assert run(SWEEP_BASES + ["z+1", "--kmin", "1000", "--kmax", "1000"]) == 0
+    assert "\n1000,0,1000,0\n" in capsys.readouterr().out
 
 
 def test_usage_errors():

@@ -1,5 +1,7 @@
 """The integer kernel against rational-arithmetic oracles."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -162,8 +164,13 @@ def test_bareiss_rank_rectangular_and_deficient(backend):
 
 
 def _prs_reference(f, g):
-    """kernel.gcd(f, g) as the primitive PRS alone computes it."""
-    return intpoly_py._prs_gcd(intpoly_py.primitive_part(f), intpoly_py.primitive_part(g))
+    """The primitive gcd of f, g by the primitive pseudo-remainder sequence."""
+    a, b = intpoly_py.primitive_part(f), intpoly_py.primitive_part(g)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, intpoly_py.primitive_part(intpoly_py.pseudo_divmod(a, b)[1])
+    return a
 
 
 def _poly(coeff):
@@ -215,16 +222,34 @@ def test_gcd_zero_constant_and_sign_cases():
     assert gcd([big, -big], [-big, 0, big]) == [-1, 1]
 
 
-def test_gcd_falls_back_to_prs_when_every_point_fails():
-    # b = x^2 + 1 and a = b + prod(x - x_i) over the points GCDHEU tries:
-    # a(x_i) = b(x_i) for each of them, so each candidate interpolates to b,
-    # which does not divide a; the PRS must find that a and b are coprime
+def test_gcd_goes_past_points_that_fail():
+    # b = x^2 + 1 and a = b + prod(x - x_i) over the first six points GCDHEU
+    # tries: a(x_i) = b(x_i) for each of them, so each candidate interpolates
+    # to b, which does not divide a; gcd must go on to a later point and
+    # find that a and b are coprime
     K = intpoly_py
     b = [1, 0, 1]
     a = [1]
-    for x in K._heu_points(b, b):  # the points depend on the smaller norm, b's
+    # the points depend on the smaller norm, b's
+    for x in itertools.islice(K._heu_points(b, b), 6):
         a = K.mul(a, [-x, 1])
     a = K.normalize([c + d for c, d in zip(a, b + [0] * len(a))])
-    assert K._heu_gcd(a, b) is None
-    assert K.gcd(a, b) == K._prs_gcd(a, b) == [1]
+    for x in itertools.islice(K._heu_points(a, b), 6):
+        assert K._interpolate(math.gcd(K._evaluate(a, x), K._evaluate(b, x)), x) == b
+    assert K.gcd(a, b) == _prs_reference(a, b) == [1]
     assert K.gcd(K.mul(a, [3, 1]), K.mul(b, [3, 1])) == [3, 1]
+
+
+@pytest.mark.parametrize("k", [100, 150, 200, 300, 600, 1000])
+def test_gcd_of_shifted_roots_of_unity(k):
+    # z^k - 1 and (z+1)^k - 1 share a root z only if |z| = |z+1| = 1, that is
+    # z a primitive cube root of unity, and then z^k = 1 and (z+1)^k = 1 hold
+    # exactly when 6 | k; z^k - 1 is squarefree, so the gcd is z^2 + z + 1
+    # then and 1 otherwise.  A planted factor w multiplies the gcd by pp(w).
+    K = intpoly_py
+    f = [-1] + [0] * (k - 1) + [1]
+    g = [0] + [math.comb(k, i) for i in range(1, k + 1)]
+    expected = [1, 1, 1] if k % 6 == 0 else [1]
+    assert K.gcd(f, g) == expected
+    w = [-14, 6, 4]
+    assert K.gcd(K.mul(w, f), K.mul(w, g)) == K.primitive_part(K.mul(w, expected))

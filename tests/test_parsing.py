@@ -173,6 +173,20 @@ def test_power_term_cap_boundary():
     assert len(parse_multipoly(f"(x0+1)^{MAX_POWER_DEGREE}", 1).ints) == MAX_POWER_TERMS
 
 
+def test_product_term_cap():
+    # each factor has C(14, 4) = 1001 terms, so each product could have
+    # min(1001^2, C(25, 5)) = 53130; it is refused before it is built
+    five = "(x0+x1+x2+x3+x4)^10"
+    with pytest.raises(ParseError, match="term cap"):
+        parse_multipoly(f"{five}*{five}*{five}", 5)
+    # at the cap: 1001 terms times one, and 1001 monomials of degree 1000
+    # in one variable however many terms the factors have
+    assert len(parse_multipoly(f"3*{five}*x0", 5).ints) == MAX_POWER_TERMS
+    assert len(parse_multipoly("(x0+1)^500*(x0-1)^500", 1).ints) == 501
+    with pytest.raises(ParseError, match="term cap"):
+        parse_multipoly("(x0+1)^500*(x0-1)^501", 1)
+
+
 def test_long_integer_literal_is_parse_error():
     # over 4300 digits, int() itself would raise a plain ValueError
     with pytest.raises(ParseError, match="coefficient cap"):
