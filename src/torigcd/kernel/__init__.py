@@ -12,6 +12,7 @@ from .intpoly_py import (
     content,
     exact_quotient,
     gcd,
+    gcd_cofactors,
     mul,
     normalize,
     primitive_part,

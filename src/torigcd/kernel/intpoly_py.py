@@ -3,8 +3,8 @@
 A polynomial is a list of ints, index = exponent, with no trailing zeros;
 the zero polynomial is the empty list.  These routines carry the hot loops
 of the package: univariate products, exact and pseudo-quotients, gcds
-(GCDHEU of Char, Geddes and Gonnet, JSC 1989, over an unbounded sequence of
-evaluation points, which always ends) and exact ranks.
+and their cofactors (GCDHEU of Char, Geddes and Gonnet, JSC 1989, over an
+unbounded sequence of evaluation points, which always ends) and exact ranks.
 
 ``bareiss_rank`` keeps the name of the Bareiss elimination it replaced, so
 benchmark records stay comparable across versions.  It no longer rescales
@@ -90,11 +90,24 @@ def pseudo_divmod(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly]":
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient, by GCDHEU.
 
-    Primitive a, b are evaluated at growing integer points x; the balanced
-    base-x digits of gcd(a(x), b(x)) spell a candidate, and the first whose
-    primitive part divides both a and b is returned.  From the first point
-    on, x >= 2*min(|a|, |b|) + 2 (max norms), such a candidate is the gcd
-    (Char, Geddes and Gonnet, JSC 1989).
+    The first element of ``gcd_cofactors(f, g)``, without building the
+    cofactors when an input is constant.
+    """
+    if len(f) == 1 or len(g) == 1:
+        return [1]
+    return gcd_cofactors(f, g)[0]
+
+
+def gcd_cofactors(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly, IntPoly]":
+    """(h, f/h, g/h) with h = gcd(f, g) primitive, positive leading coefficient.
+
+    GCDHEU: primitive a, b are evaluated at growing integer points x; the
+    balanced base-x digits of gcd(a(x), b(x)) spell a candidate, and the
+    first whose primitive part divides both a and b is h.  From the first
+    point on, x >= 2*min(|a|, |b|) + 2 (max norms), such a candidate is the
+    gcd (Char, Geddes and Gonnet, JSC 1989).  The divisibility check
+    computes a/h and b/h; scaled by the signed contents f/a and g/b they are
+    the cofactors, so h * (f/h) == f and h * (g/h) == g hold exactly.
 
     The loop ends.  Write a = G*a', b = G*b' with G = gcd(a, b).  Then
     gcd(a(x), b(x)) = |G(x)| * c with c = gcd(a'(x), b'(x)), and c divides
@@ -107,17 +120,27 @@ def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     if not f and not g:
         raise ZeroDivisionError("gcd of two zero polynomials")
     if len(f) == 1 or len(g) == 1:
-        return [1]
+        return [1], list(f), list(g)
     a = primitive_part(f)
     b = primitive_part(g)
-    if not a or not b:
-        return a or b
+    if not a:
+        return b, [], [g[-1] // b[-1]]
+    if not b:
+        return a, [f[-1] // a[-1]], []
     for x in _heu_points(a, b):
         h = primitive_part(_interpolate(math.gcd(_evaluate(a, x), _evaluate(b, x)), x))
         if len(h) == 1:
-            return h
-        if exact_quotient(a, h) is not None and exact_quotient(b, h) is not None:
-            return h
+            return h, list(f), list(g)
+        qa = exact_quotient(a, h)
+        if qa is None:
+            continue
+        qb = exact_quotient(b, h)
+        if qb is not None:
+            return h, _scaled(qa, f[-1] // a[-1]), _scaled(qb, g[-1] // b[-1])
+
+
+def _scaled(a: IntPoly, c: int) -> IntPoly:
+    return a if c == 1 else [c * x for x in a]
 
 
 def _heu_points(a: IntPoly, b: IntPoly):
@@ -153,10 +176,15 @@ def _interpolate(v: int, x: int) -> IntPoly:
 
 
 def exact_quotient(a: IntPoly, b: IntPoly) -> "IntPoly | None":
-    """a / b in Z[x] for primitive nonzero b, or None when b does not divide a.
+    """a / b when it lies in Z[x], else None; b must be nonzero.
 
-    By Gauss's lemma an exact quotient has integer coefficients, so the
-    first leading coefficient that lc(b) does not divide proves a remainder.
+    The quotient is built top down, dividing by lc(b) at each step; a step
+    whose division leaves a remainder, or a nonzero remainder polynomial at
+    the end, proves that a / b is not an integer polynomial.  So for any b
+    the result is a / b whenever a / b lies in Z[x] (every Bareiss quotient
+    does, by Sylvester's identity).  For primitive b, Gauss's lemma adds
+    that b divides a over Q only if a / b lies in Z[x], so None then means
+    b does not divide a at all.
     """
     db = len(b) - 1
     if len(a) <= db:

@@ -17,11 +17,11 @@ from .unipoly import (
     ONE,
     UniPoly,
     divide_out,
-    exact_div,
     format_unipoly,
     is_squarefree,
     squarefree_parts,
     uni_gcd,
+    uni_gcd_cofactors,
 )
 
 Scalar = Union[int, Fraction]
@@ -40,10 +40,7 @@ class RationalFunction:
         if num.is_zero():
             den = ONE
         else:
-            g = uni_gcd(num, den)
-            if not g.is_constant():
-                num = exact_div(num, g)
-                den = exact_div(den, g)
+            _, num, den = uni_gcd_cofactors(num, den)
             lc = den.lc
             if lc != 1:
                 num = num / lc
@@ -292,10 +289,10 @@ def coprime_basis(ps: Sequence[UniPoly]) -> "tuple[UniPoly, ...]":
         if p.degree < 1:
             continue
         for i, b in enumerate(basis):
-            g = uni_gcd(p, b)
+            g, p_over_g, b_over_g = uni_gcd_cofactors(p, b)
             if g.degree >= 1:
                 basis.pop(i)
-                pending.extend((g, exact_div(b, g), exact_div(p, g)))
+                pending.extend((g, b_over_g, p_over_g))
                 break
         else:
             basis.append(p)

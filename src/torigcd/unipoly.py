@@ -16,7 +16,10 @@ by Gauss's lemma the quotient is an integer polynomial whenever the
 division is exact, so the first leading coefficient that does not divide
 proves there is a remainder.  Only then does ``divmod`` pseudo-divide the
 numerators in the kernel and scale its quotient and remainder back over
-one denominator each.
+one denominator each.  ``divide_out`` by a multiple of z divides nothing:
+the multiplicity is the number of vanishing low coefficients.
+``uni_gcd_cofactors`` returns the quotients by the gcd that the kernel's
+gcd check has already computed, for callers that divide by the gcd.
 """
 
 from __future__ import annotations
@@ -290,6 +293,24 @@ def uni_gcd(p: UniPoly, q: UniPoly) -> UniPoly:
     return _new(tuple(g), g[-1])
 
 
+def uni_gcd_cofactors(p: UniPoly, q: UniPoly) -> "tuple[UniPoly, UniPoly, UniPoly]":
+    """(g, p/g, q/g) with g = uni_gcd(p, q), the quotients from the kernel's gcd.
+
+    The kernel's gcd check divides both numerators by the gcd already, so
+    the cofactors cost no further division.  Error when both are zero.
+    """
+    h, a, b = kernel.gcd_cofactors(p.ints, q.ints)
+    if len(h) == 1:
+        return ONE, p, q
+    # p = h * a / p.den and g = h / lc(h), so p / g = a * lc(h) / p.den
+    lh = h[-1]
+    return (
+        _new(tuple(h), lh),
+        _canon([x * lh for x in a], p.den),
+        _canon([x * lh for x in b], q.den),
+    )
+
+
 def uni_gcd_list(ps: Sequence[UniPoly]) -> UniPoly:
     """Monic gcd of a nonempty family, ignoring zeros unless all are zero."""
     nonzero = [p for p in ps if not p.is_zero()]
@@ -307,7 +328,8 @@ def uni_lcm(p: UniPoly, q: UniPoly) -> UniPoly:
     """Monic lcm of two nonzero polynomials."""
     if p.is_zero() or q.is_zero():
         raise ZeroDivisionError("lcm with zero polynomial")
-    return exact_div(p * q, uni_gcd(p, q)).monic()
+    _, p_over_g, _ = uni_gcd_cofactors(p, q)
+    return (p_over_g * q).monic()
 
 
 def exact_div(p: UniPoly, q: UniPoly) -> UniPoly:
@@ -327,15 +349,21 @@ def divide_out(p: UniPoly, q: UniPoly) -> "tuple[int, UniPoly]":
         raise ZeroDivisionError("dividing out of the zero polynomial")
     if q.degree < 1:
         raise ValueError("divide_out needs a nonconstant divisor")
-    c, b = _primitive(q.ints)
     a = p.ints
-    e = 0
-    while True:
-        quot = kernel.exact_quotient(a, b)
-        if quot is None:
-            break
-        a = quot
-        e += 1
+    if len(q.ints) == 2 and not q.ints[0]:
+        # q = c*z: the valuation is the number of vanishing low coefficients
+        c = q.ints[1]
+        e = next(i for i, x in enumerate(a) if x)
+        a = a[e:]
+    else:
+        c, b = _primitive(q.ints)
+        e = 0
+        while True:
+            quot = kernel.exact_quotient(a, b)
+            if quot is None:
+                break
+            a = quot
+            e += 1
     if e == 0:
         return 0, p
     scale = q.den**e
@@ -361,8 +389,8 @@ def squarefree_parts(p: UniPoly) -> "list[UniPoly]":
     p = p.monic()
     parts = []
     while p.degree > 0:
-        reduced = uni_gcd(p, p.derivative())
-        parts.append(exact_div(p, reduced))
+        reduced, layer, _ = uni_gcd_cofactors(p, p.derivative())
+        parts.append(layer)
         p = reduced
     return parts
 

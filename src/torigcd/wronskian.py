@@ -1,9 +1,13 @@
 """Wronskians of rational tuples and the two local inequality checks.
 
-The Wronskian of (f_1, ..., f_M) is det(d^j f_i / dz^j).  Each column i
-is cleared by q_i^M, the determinant runs by fraction-free (Bareiss)
-elimination over the polynomial ring, and the product of the q_i^M is
-divided back out in one reduction.
+The Wronskian of (f_1, ..., f_M) is det(d^j f_i / dz^j), with the
+derivatives reduced rational functions.  Column i is cleared by q_i^M, q_i
+the denominator of f_i: each entry's denominator divides q_i^M, so its
+cell is its numerator times the exact quotient q_i^M / den, with no gcd.
+The determinant scales each column of that polynomial matrix to integer
+coefficients and runs fraction-free (Bareiss) elimination on integer
+polynomials, where every division is exact; the column scales and the
+product of the q_i^M are divided back out in one reduction.
 
 The local checks are exact valuation inequalities at one place:
   ordw_check:  sum_j v+(eta_j) - M(M-1)/2  <=  v+(W(eta))
@@ -13,37 +17,56 @@ The local checks are exact valuation inequalities at one place:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from . import kernel
 from .errors import HypothesisError
 from .idealslice import binom, build_basis_slice, slice_constants
 from .multipoly import MultiPoly, evaluate_poly, format_multipoly
 from .ordering import Weight
 from .ratfunc import Place, RationalFunction, format_ratfunc, valuation
-from .unipoly import UniPoly, exact_div, format_unipoly, uni_gcd, uni_gcd_list
+from .unipoly import UniPoly, _canon, format_unipoly, uni_gcd, uni_gcd_list
 
 
 def _poly_det(m: "list[list[UniPoly]]") -> UniPoly:
-    """Fraction-free determinant of a square polynomial matrix."""
+    """Determinant of a square polynomial matrix by fraction-free elimination.
+
+    Column j is multiplied by the lcm s_j of its denominators, so Bareiss
+    elimination runs on integer polynomials, and det(m) is the result over
+    the product of the s_j.  By Sylvester's identity every Bareiss quotient
+    is an integer polynomial; a step that leaves a remainder raises.
+    """
     n = len(m)
-    m = [row[:] for row in m]
+    scales = [math.lcm(*(row[j].den for row in m)) for j in range(n)]
+    a = [[[x * (s // p.den) for x in p.ints] for p, s in zip(row, scales)] for row in m]
     sign = 1
-    prev = UniPoly.constant(1)
+    prev = [1]
     for c in range(n - 1):
-        piv = next((r for r in range(c, n) if not m[r][c].is_zero()), None)
+        piv = next((r for r in range(c, n) if a[r][c]), None)
         if piv is None:
             return UniPoly()
         if piv != c:
-            m[c], m[piv] = m[piv], m[c]
+            a[c], a[piv] = a[piv], a[c]
             sign = -sign
-        for r in range(c + 1, n):
+        top = a[c]
+        for row in a[c + 1 :]:
             for j in range(c + 1, n):
-                m[r][j] = exact_div(m[c][c] * m[r][j] - m[r][c] * m[c][j], prev)
-            m[r][c] = UniPoly()
-        prev = m[c][c]
-    det = m[n - 1][n - 1]
-    return det * (-1) if sign < 0 else det
+                cell = _sub(kernel.mul(top[c], row[j]), kernel.mul(row[c], top[j]))
+                quot = kernel.exact_quotient(cell, prev)
+                if quot is None:
+                    raise ArithmeticError("Bareiss step left a remainder")
+                row[j] = quot
+        prev = top[c]
+    return _canon(a[n - 1][n - 1], sign * math.prod(scales))
+
+
+def _sub(a: "list[int]", b: "list[int]") -> "list[int]":
+    out = a + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return kernel.normalize(out)
 
 
 def _derivative_rows(fs: Sequence[RationalFunction]) -> "list[list[RationalFunction]]":
@@ -60,22 +83,21 @@ def wronskian(fs: Sequence[RationalFunction]) -> RationalFunction:
         raise ValueError("need at least one function")
     rows = _derivative_rows(fs)
     # clear column i by q_i^M: every entry d^j f_i has denominator dividing
-    # q_i^(j+1) with j+1 <= M, so the scaled matrix is polynomial
-    clear = [RationalFunction(f.den**M) for f in fs]
+    # q_i^(j+1) with j+1 <= M, so each cell is a polynomial
+    clear = [f.den**M for f in fs]
     poly_m: "list[list[UniPoly]]" = []
     for row in rows:
         prow = []
         for entry, c in zip(row, clear):
-            scaled = entry * c
-            if not scaled.is_polynomial():
+            quot, rem = divmod(c, entry.den)
+            if rem:
                 raise AssertionError("column clearing left a denominator")
-            prow.append(scaled.num)
+            prow.append(entry.num * quot)
         poly_m.append(prow)
-    det = _poly_det(poly_m)
     den = UniPoly.constant(1)
-    for f in fs:
-        den = den * f.den**M
-    return RationalFunction(det, den)
+    for c in clear:
+        den = den * c
+    return RationalFunction(_poly_det(poly_m), den)
 
 
 def _vplus(f: RationalFunction, pl: Place) -> int:

@@ -240,6 +240,24 @@ def test_bs_check(capsys):
     capsys.readouterr()
 
 
+def test_bs_check_at_z_with_high_multiplicity(capsys):
+    # valuations at z of several hundred, read off the low coefficients; the
+    # report must equal the one found by dividing by z once per unit
+    argv = ["bs-check", "--F", "x0+x1", "--G", "x0-2*x1", "--m", "120",
+            "--g", "z^3", "--g", "z+1", "--place", "z"]
+    assert run(argv) == 0
+    assert _json_out(capsys) == {
+        "check": "bs",
+        "info": {
+            "M": 121, "c": 7259, "d": 1, "h": "1", "m": 120,
+            "min_weighted_exponent": 0, "n": 1, "swapped": False,
+            "tm_tie": True, "u": [3, 0],
+        },
+        "lhs": 21777, "passed": True, "place": "z", "rhs": 21777,
+        "seed": 0, "vacuous": False,
+    }
+
+
 def test_exp_slopes_tracks_dichotomy(capsys):
     assert run(["exp-slopes", "--a", "1", "--b", "3/2", "--kmax", "3"]) == 0
     out = capsys.readouterr().out

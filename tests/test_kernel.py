@@ -220,6 +220,13 @@ def test_gcd_zero_constant_and_sign_cases():
     assert gcd([-3, 5, -2], [5, -4, -1]) == [-1, 1]
     big = 2**333 + 1
     assert gcd([big, -big], [-big, 0, big]) == [-1, 1]
+    cofactors = intpoly_py.gcd_cofactors
+    with pytest.raises(ZeroDivisionError):
+        cofactors([], [])
+    assert cofactors([], [4, -6, -2]) == ([-2, 3, 1], [], [-2])
+    assert cofactors([-6, 0, 3], []) == ([-2, 0, 1], [3], [])
+    assert cofactors([-7], [1, 2, 3]) == ([1], [-7], [1, 2, 3])
+    assert cofactors([-3, 5, -2], [5, -4, -1]) == ([-1, 1], [3, -2], [-5, -1])
 
 
 def test_gcd_goes_past_points_that_fail():
@@ -253,3 +260,33 @@ def test_gcd_of_shifted_roots_of_unity(k):
     assert K.gcd(f, g) == expected
     w = [-14, 6, 4]
     assert K.gcd(K.mul(w, f), K.mul(w, g)) == K.primitive_part(K.mul(w, expected))
+
+
+@given(st.integers(0, 2**64), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_gcd_cofactors_at_high_degree_match_sympy(seed, shared):
+    # f = c*w*u*p and g = d*w*u*q of degree 100 to 400: w is a planted common
+    # factor, u one more when the cofactors share a factor, and the contents
+    # c, d make the cofactors carry signs and contents
+    sympy = pytest.importorskip("sympy")
+    K = intpoly_py
+    rng = random.Random(seed)
+
+    def rand(deg):
+        return [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([-3, -2, -1, 1, 2, 3])]
+
+    w = rand(rng.randint(1, 100))
+    common = K.mul(w, rand(rng.randint(1, 50))) if shared else w
+
+    def planted():
+        rest = rand(max(0, rng.randint(100, 400) - len(common) + 1))
+        return K.mul([rng.choice([-6, -1, 1, 4])], K.mul(common, rest))
+
+    f, g = planted(), planted()
+    h, f_h, g_h = K.gcd_cofactors(f, g)
+    assert K.mul(h, f_h) == f and K.mul(h, g_h) == g
+    assert h == K.gcd(f, g)
+    x = sympy.Symbol("x")
+    F, G = (sympy.Poly(list(reversed(a)), x, domain="ZZ") for a in (f, g))
+    expected = [int(c) for c in reversed(F.gcd(G).primitive()[1].all_coeffs())]
+    assert h in (expected, [-c for c in expected])

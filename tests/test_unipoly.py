@@ -13,6 +13,7 @@ from torigcd.unipoly import (
     ZERO,
     Z,
     UniPoly,
+    divide_out,
     exact_div,
     format_unipoly,
     is_squarefree,
@@ -138,6 +139,25 @@ def test_exact_div_raises_on_remainder():
     assert exact_div(parse_unipoly("z^2-1"), parse_unipoly("z-1")) == parse_unipoly(
         "z+1"
     )
+
+
+def test_divide_out_at_z_matches_the_division_loop():
+    # divide_out reads the valuation at a multiple of z off the low
+    # coefficients; the reference divides once per unit of multiplicity
+    rng = random.Random(31)
+    for e in range(51):
+        core = [Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 4))]
+        core += [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 6))]
+        p = UniPoly([0] * e + core)
+        for q in (Z, UniPoly([0, Fraction(-3, 2)])):
+            count, rest = 0, p
+            while True:
+                quot, rem = divmod(rest, q)
+                if rem:
+                    break
+                count, rest = count + 1, quot
+            assert count == e
+            assert divide_out(p, q) == (e, rest)
 
 
 def test_squarefree_detection():

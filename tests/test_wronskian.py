@@ -12,7 +12,8 @@ from torigcd.nevandeg import mult_independent
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
 from torigcd.randgen import random_coprime_pair, random_ratfunc, random_unipoly
 from torigcd.ratfunc import Place, RationalFunction, coprime_basis, valuation
-from torigcd.wronskian import bs_check, ordw_check, wronskian
+from torigcd.unipoly import UniPoly
+from torigcd.wronskian import _poly_det, bs_check, ordw_check, wronskian
 
 
 def rf(text):
@@ -96,6 +97,45 @@ def test_wronskian_matches_sympy():
                 rows.append([e.diff(zf) for e in rows[-1]])
             expect = DomainMatrix(rows, (M, M), field).det()
             assert to_field(wronskian(fs)) == expect
+
+
+def test_poly_det_matches_sympy():
+    # rational entries, a zero leading pivot (a row swap flips the sign),
+    # a zero first column and singular matrices, against sympy's det
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    z = sympy.Symbol("z")
+    ring = sympy.QQ[z]
+
+    def to_ring(p):
+        return ring.from_sympy(sum(sympy.Rational(c.numerator, c.denominator) * z**i for i, c in enumerate(p.coeffs)))
+
+    def entry():
+        return UniPoly([Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))])
+
+    rng = random.Random(401)
+    for n in range(1, 6):
+        for trial in range(8):
+            m = [[entry() for _ in range(n)] for _ in range(n)]
+            singular = False
+            if trial == 1 and n > 1:
+                m[0][0] = UniPoly()
+                m[-1][0] = m[-1][0] or UniPoly([Fraction(3, 4)])
+            if trial == 2:
+                for row in m:
+                    row[0] = UniPoly()
+                singular = True
+            if trial == 3 and n > 1:
+                m[-1] = [p * Fraction(-2, 3) for p in m[0]]
+                singular = True
+            if trial == 4 and n > 2:
+                u = entry() + UniPoly([0, 1])
+                m[-1] = [a * u + b * Fraction(5, 2) for a, b in zip(m[0], m[1])]
+                singular = True
+            det = _poly_det(m)
+            assert to_ring(det) == DomainMatrix([[to_ring(p) for p in row] for row in m], (n, n), ring).det()
+            assert det.is_zero() or not singular
 
 
 def test_wronskian_rejects_empty():
