@@ -146,8 +146,10 @@ def _scaled(a: IntPoly, c: int) -> IntPoly:
 def _heu_points(a: IntPoly, b: IntPoly):
     """The endless, increasing evaluation points GCDHEU tries for primitive a, b.
 
-    The first is 2*min(|a|, |b|) + 2 (max norms); later points grow like
-    x^(5/4), as in sympy's dup_zz_heu_gcd.
+    a and b may be any iterables of their coefficients, so ``multipoly``
+    passes the values of its term maps.  The first point is
+    2*min(|a|, |b|) + 2 (max norms); later points grow like x^(5/4), as in
+    sympy's dup_zz_heu_gcd.
     """
     x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     while True:

@@ -8,23 +8,26 @@ polynomials are equal iff their (ints, den) pairs are, and hashing is
 exact.  Arithmetic runs on the integer maps; ``terms`` gives a read-only
 Fraction view for callers that want one.  ``substitute`` and
 ``evaluate_poly`` share one evaluation loop over the kernel's integer
-lists.  Multivariate gcds run by recursive content/primitive-part reduction
-in a main variable with primitive pseudo-remainder sequences, bottoming out
-in the univariate integer kernel; no factorization into irreducibles
-happens anywhere.
+lists.  Multivariate gcds run GCDHEU on the integer maps, one variable at a
+time, with the kernel's evaluation points and digit reader, bottoming out in
+the univariate integer kernel, after univariate restrictions at small points
+have tried to prove the gcd constant; exact quotients divide by lex-leading
+terms.
+No factorization into irreducibles happens anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 from types import MappingProxyType
 from typing import Dict, Mapping, Sequence, Tuple, Union
 
 from . import kernel
+from .kernel.intpoly_py import _heu_points, _interpolate
 from .ratfunc import RationalFunction
-from .unipoly import UniPoly, uni_gcd
+from .unipoly import UniPoly
 from .unipoly import _canon as _canon_unipoly
 
 Exponent = Tuple[int, ...]
@@ -434,41 +437,12 @@ def _evaluate(
     return kernel.normalize(acc), den
 
 
-def _active_vars(F: MultiPoly) -> "list[int]":
-    seen = set()
-    for e in F.ints:
-        for axis, x in enumerate(e):
-            if x:
-                seen.add(axis)
-    return sorted(seen)
-
-
-def _by_var(F: MultiPoly, axis: int) -> "dict[int, MultiPoly]":
-    """View F as a polynomial in one variable with MultiPoly coefficients."""
-    slices: Dict[int, IntMap] = {}
-    for e, c in F.ints.items():
-        key = e[axis]
-        rest = list(e)
-        rest[axis] = 0
-        slices.setdefault(key, {})[tuple(rest)] = c
-    return {j: _canon(F.nvars, t, F.den) for j, t in slices.items()}
-
-
-def _from_var(rep: Mapping[int, MultiPoly], axis: int, nvars: int) -> MultiPoly:
-    # over the lcm of the reduced denominators no factor is common to all numerators
-    den = math.lcm(*(coeff.den for coeff in rep.values()))
-    out: IntMap = {}
-    for j, coeff in rep.items():
-        scale = den // coeff.den
-        for e, c in coeff.ints.items():
-            lifted = list(e)
-            lifted[axis] += j
-            out[tuple(lifted)] = c * scale
-    return _new(nvars, out, den)
-
-
 def mv_exact_div(A: MultiPoly, B: MultiPoly) -> MultiPoly:
-    """Exact quotient A/B; raises ValueError when B does not divide A."""
+    """Exact quotient A/B; raises ValueError when B does not divide A.
+
+    A's numerators are divided by the primitive part of B's; by Gauss's
+    lemma that quotient lies in Z[x] whenever B divides A over Q.
+    """
     A._check_arity(B)
     if B.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
@@ -476,64 +450,142 @@ def mv_exact_div(A: MultiPoly, B: MultiPoly) -> MultiPoly:
         return _zero(A.nvars)
     if B.is_constant():
         return A * (Fraction(1) / B.as_constant())
-    axis = _active_vars(B)[-1]
-    brep = _by_var(B, axis)
-    db = max(brep)
-    blc = brep[db]
-    quot: Dict[int, MultiPoly] = {}
-    R = A
-    while not R.is_zero():
-        rrep = _by_var(R, axis)
-        dr = max(rrep)
-        if dr < db:
-            raise ValueError("not an exact multivariate division")
-        qc = mv_exact_div(rrep[dr], blc)
-        quot[dr - db] = qc
-        piece = qc * B
-        shift = [0] * A.nvars
-        shift[axis] = dr - db
-        R = R - piece.mul_monomial(tuple(shift))
-    return _from_var(quot, axis, A.nvars)
+    cb = math.gcd(*B.ints.values())
+    q = _exact_quotient(A.ints, {e: c // cb for e, c in B.ints.items()})
+    if q is None:
+        raise ValueError("not an exact multivariate division")
+    return _canon(A.nvars, {e: c * B.den for e, c in q.items()}, A.den * cb)
 
 
-def _mv_pseudo_rem(A: MultiPoly, B: MultiPoly, axis: int) -> MultiPoly:
-    brep = _by_var(B, axis)
-    db = max(brep)
-    blc = brep[db]
-    R = A
-    while not R.is_zero():
-        rrep = _by_var(R, axis)
-        dr = max(rrep)
-        if dr < db:
-            break
-        shift = [0] * A.nvars
-        shift[axis] = dr - db
-        R = R * blc - (B * rrep[dr]).mul_monomial(tuple(shift))
-    return R
+def _exact_quotient(a: IntMap, b: IntMap) -> "IntMap | None":
+    """a / b when it lies in Z[x], else None; b must be nonzero.
+
+    The multivariate twin of ``kernel.exact_quotient``: the lex-leading
+    term of the remainder is divided by that of b, one quotient term at a
+    time.  A coefficient or monomial that does not divide, or a quotient
+    term whose degree in some variable exceeds deg a - deg b there, proves
+    that a / b is not an integer polynomial.  Each step lowers the
+    remainder's leading monomial in lex order, a well-order, so the loop
+    ends.
+    """
+    eb, lb = max(b.items())
+    tops = [max(e[i] for e in a) - max(e[i] for e in b) for i in range(len(eb))]
+    quot: IntMap = {}
+    r = dict(a)
+    while r:
+        er = max(r)
+        t, rem = divmod(r[er], lb)
+        shift = tuple(map(sub, er, eb))
+        if rem or any(s < 0 or s > top for s, top in zip(shift, tops)):
+            return None
+        quot[shift] = t
+        for e, c in b.items():
+            e = tuple(map(add, e, shift))
+            v = r.get(e, 0) - t * c
+            if v:
+                r[e] = v
+            else:
+                del r[e]
+    return quot
 
 
-def _as_unipoly(F: MultiPoly, axis: int) -> UniPoly:
-    ints = [0] * (F.degree_in(axis) + 1)
-    for e, c in F.ints.items():
-        ints[e[axis]] = c
-    return _canon_unipoly(ints, F.den)
+def _heu_gcd(a: IntMap, b: IntMap) -> IntMap:
+    """gcd(a, b) in Z[x], up to sign, for integer maps not both zero.
+
+    GCDHEU (Char, Geddes and Gonnet, JSC 1989) one variable at a time.
+    With the integer contents taken out, the last active variable is set
+    to the kernel's growing points x; the gcd of the two images, found by
+    recursion, is read back coefficient by coefficient in balanced base-x
+    digits, and the first candidate whose primitive part divides both
+    inputs is the gcd.  Univariate pairs go to ``kernel.gcd``.  Cauchy's
+    bound keeps the image of the input of smaller norm nonzero, so at most
+    one image vanishes, and then the gcd of the images is the other one.
+    First ``_free_of`` tries to prove at small points that the gcd is free
+    of every shared variable, so constant: coprime pairs of high degree are
+    decided before their images at the points grow far beyond the inputs.
+
+    The loop ends.  Write a = H*a', b = H*b' with H = gcd(a, b).  The gcd of
+    the images is H(x) times a divisor of a fixed nonzero polynomial: the
+    resultant of a' and b' in that variable, or a' or b' when one of them is
+    free of it.  Each irreducible factor of that polynomial divides both
+    images at finitely many x only, so from some point on the extra factor
+    is an integer c dividing its content, and once x > 2*|c|*|H| the digits
+    spell +-c*H, whose primitive part is H.
+    """
+    if not a or not b:
+        return a or b
+    ca, cb = math.gcd(*a.values()), math.gcd(*b.values())
+    c = math.gcd(ca, cb)
+    zero = (0,) * len(next(iter(a)))
+    axes_a = {i for e in a for i, x in enumerate(e) if x}
+    axes_b = {i for e in b for i, x in enumerate(e) if x}
+    axes = axes_a | axes_b
+    if not axes:
+        return {zero: c}
+    v = max(axes)
+    if len(axes) == 1:
+        ones = [1] * len(zero)
+        h = kernel.gcd(_restriction(a, v, ones), _restriction(b, v, ones))
+        return {_lift(zero, v, j): c * x for j, x in enumerate(h) if x}
+    if all(_free_of(a, b, w) for w in axes_a & axes_b):
+        return {zero: c}
+    a = {e: x // ca for e, x in a.items()}
+    b = {e: x // cb for e, x in b.items()}
+    for x in _heu_points(a.values(), b.values()):
+        h: IntMap = {}
+        for e, y in _heu_gcd(_image(a, v, x), _image(b, v, x)).items():
+            for j, d in enumerate(_interpolate(y, x)):
+                if d:
+                    h[_lift(e, v, j)] = d
+        if zero in h and len(h) == 1:
+            return {zero: c}
+        ch = math.gcd(*h.values())
+        h = {e: y // ch for e, y in h.items()}
+        if _exact_quotient(a, h) is not None and _exact_quotient(b, h) is not None:
+            return {e: c * y for e, y in h.items()}
 
 
-def _from_unipoly(p: UniPoly, axis: int, nvars: int) -> MultiPoly:
-    terms: IntMap = {}
-    for j, c in enumerate(p.ints):
-        if c:
-            e = [0] * nvars
-            e[axis] = j
-            terms[tuple(e)] = c
-    return _new(nvars, terms, p.den)
+def _free_of(a: IntMap, b: IntMap, axis: int) -> bool:
+    """True only if gcd(a, b) is free of the variable in slot axis.
+
+    The other variables are set to 1, then to -1, then slot w to w + 2.
+    Where the leading coefficient of a or b in that variable survives, so does
+    that of the gcd H, which divides it; H's image then divides both
+    restrictions, so coprime restrictions prove deg H = 0.  At 1 and -1 the
+    coefficients stay as small as the inputs' whatever the degrees.
+    """
+    n = len(next(iter(a)))
+    for t in range(3):
+        point = [1 if w == axis else (1, -1, w + 2)[t] for w in range(n)]
+        fa, fb = _restriction(a, axis, point), _restriction(b, axis, point)
+        if fa[-1] or fb[-1]:
+            if len(kernel.gcd(kernel.normalize(fa), kernel.normalize(fb))) == 1:
+                return True
+    return False
 
 
-def _normalize_lead(F: MultiPoly) -> MultiPoly:
-    """Scale so the lexicographically greatest term has coefficient 1."""
-    if F.is_zero():
-        return F
-    return _canon(F.nvars, F.ints, F.ints[max(F.ints)])
+def _restriction(a: IntMap, axis: int, point: "list[int]") -> "list[int]":
+    """The kernel list in slot axis of a at point, whose slot axis is 1."""
+    out = [0] * (max(e[axis] for e in a) + 1)
+    for e, c in a.items():
+        for x, k in zip(point, e):
+            c *= x**k
+        out[e[axis]] += c
+    return out
+
+
+def _lift(e: Exponent, axis: int, j: int) -> Exponent:
+    """e with exponent j in slot axis (which e leaves at 0)."""
+    return e[:axis] + (j,) + e[axis + 1 :]
+
+
+def _image(a: IntMap, axis: int, x: int) -> IntMap:
+    """a with the variable in slot axis set to x, zeros dropped."""
+    out: IntMap = {}
+    for e, c in a.items():
+        key = _lift(e, axis, 0)
+        out[key] = out.get(key, 0) + c * x ** e[axis]
+    return {e: c for e, c in out.items() if c}
 
 
 def mv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
@@ -541,48 +593,8 @@ def mv_gcd(F: MultiPoly, G: MultiPoly) -> MultiPoly:
     F._check_arity(G)
     if F.is_zero() and G.is_zero():
         raise ZeroDivisionError("gcd of two zero polynomials")
-    if F.is_zero():
-        return _normalize_lead(G)
-    if G.is_zero():
-        return _normalize_lead(F)
-    active = sorted(set(_active_vars(F)) | set(_active_vars(G)))
-    if not active:
-        return MultiPoly.constant(F.nvars, 1)
-    if len(active) == 1:
-        axis = active[0]
-        g = uni_gcd(_as_unipoly(F, axis), _as_unipoly(G, axis))
-        return _from_unipoly(g, axis, F.nvars)
-    axis = active[-1]
-    fcont, fpp = _mv_content_pp(F, axis)
-    gcont, gpp = _mv_content_pp(G, axis)
-    cont = mv_gcd(fcont, gcont)
-    a, b = fpp, gpp
-    if a.degree_in(axis) < b.degree_in(axis):
-        a, b = b, a
-    while not b.is_zero() and b.degree_in(axis) > 0:
-        r = _mv_pseudo_rem(a, b, axis)
-        if not r.is_zero():
-            _, r = _mv_content_pp(r, axis)
-        a, b = b, r
-    if b.is_zero():
-        _, app = _mv_content_pp(a, axis)
-        return _normalize_lead(cont * app)
-    return _normalize_lead(cont)
-
-
-def _mv_content_pp(F: MultiPoly, axis: int) -> "tuple[MultiPoly, MultiPoly]":
-    """Content (gcd of the axis-coefficients) and primitive part of F."""
-    rep = _by_var(F, axis)
-    coeffs = list(rep.values())
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        if cont.is_constant():
-            break
-        cont = mv_gcd(cont, c)
-    cont = _normalize_lead(cont) if not cont.is_constant() else MultiPoly.constant(F.nvars, 1)
-    if cont.is_constant():
-        return MultiPoly.constant(F.nvars, 1), F
-    return cont, mv_exact_div(F, cont)
+    h = _heu_gcd(F.ints, G.ints)
+    return _canon(F.nvars, h, h[max(h)])
 
 
 def coprime_multivariate(F: MultiPoly, G: MultiPoly) -> bool:

@@ -9,10 +9,12 @@ degree, counting a constant base as degree 1, would exceed MAX_POWER_DEGREE
 is rejected before it is built, and so is a power whose exponent times the
 largest bit length of a numerator or denominator among the coefficients of
 its base would exceed MAX_COEFF_BITS, and so is a multivariate power or
-product whose term count could exceed MAX_POWER_TERMS.  An integer literal
-of more than MAX_COEFF_BITS bits is rejected before it is converted, and so
-is a variable index that long.  MAX_SLICE_MONOMIALS, the largest slice the
-`basis` and `bs-check` subcommands accept, sits here with the other caps.
+product whose term count could exceed MAX_POWER_TERMS, and so is a power
+whose term bound times exponent times coefficient bits would exceed
+MAX_POWER_SIZE.  An integer literal of more than MAX_COEFF_BITS bits is
+rejected before it is converted, and so is a variable index that long.
+MAX_SLICE_MONOMIALS, the largest slice the `basis` and `bs-check`
+subcommands accept, sits here with the other caps.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ MAX_POWER_DEGREE = 1000
 # a one-variable power the degree cap accepts has at most this many terms
 MAX_POWER_TERMS = MAX_POWER_DEGREE + 1
 MAX_COEFF_BITS = 10000
+# terms times coefficient bits of a power, bounded before it is built: the
+# other caps alone admit (1023*x0+1023*x1)^1000, 1001 terms of about 10000
+# bits that take seconds to build; (x0+x1)^1000 sits near 10^6
+MAX_POWER_SIZE = 3 * 10**6
 # largest graded slice `basis` and `bs-check` build: C(m+n, n) monomials of
 # degree m in n+1 variables, the column count of the slice's rank matrices
 MAX_SLICE_MONOMIALS = 1000
@@ -142,10 +148,16 @@ class _Parser:
                     f"power too large: exponent {k} on coefficients of {bits} bits"
                     f" exceeds the coefficient cap of {MAX_COEFF_BITS} bits"
                 )
-            if self.alg.term_bound(value, k) > MAX_POWER_TERMS:
+            terms = self.alg.term_bound(value, k)
+            if terms > MAX_POWER_TERMS:
                 raise ParseError(
                     f"power too large: exponent {k} can give more terms than"
                     f" the term cap {MAX_POWER_TERMS}"
+                )
+            if terms * bits * k > MAX_POWER_SIZE:
+                raise ParseError(
+                    f"power too large: exponent {k} can give {terms} terms of"
+                    f" {bits * k} bits, over the size cap of {MAX_POWER_SIZE} bits"
                 )
             value = value**k
         return value

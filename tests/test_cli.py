@@ -187,6 +187,15 @@ def test_sweep_full_run(capsys):
     assert '"threshold_k": 19' in out
 
 
+def test_sweep_on_dense_three_variable_pair(capsys):
+    argv = ["gcd-sweep", "--F", "(x1+2*x2-x3+1)^5+x1*x2^4-3",
+            "--G", "(x1-x2+3*x3-2)^5+x3^5+5", "--g", "z", "--g", "z+1", "--g", "z+2",
+            "--kmax", "3"]
+    assert run(argv) == 0
+    rows = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")]
+    assert rows == ["k,gcd_degree,scale,ratio", "1,0,1,0", "2,0,2,0", "3,0,3,0"]
+
+
 def test_sweep_rationals_round_trip(capsys):
     from fractions import Fraction
 

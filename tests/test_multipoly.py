@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from torigcd.multipoly import (
     MultiPoly,
+    _free_of,
     coprime_multivariate,
     dehomogenize,
     equalize_degrees,
@@ -214,6 +215,53 @@ def test_mv_exact_div_detects_nondivisor():
     with pytest.raises(ValueError):
         mv_exact_div(mp("x0^2+x1"), mp("x0+1"))
     assert mv_exact_div(mp("x0^2-x1^2"), mp("x0-x1")) == mp("x0+x1")
+
+
+def _roadmap_pair(d):
+    F = mp(f"(x1+2*x2-x3+1)^{d}+x1*x2^{d - 1}-3", first_index=1)
+    G = mp(f"(x1-x2+3*x3-2)^{d}+x3^{d}+5", first_index=1)
+    return F, G
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_coprime_dense_three_variable_pair(d):
+    assert coprime_multivariate(*_roadmap_pair(d))
+
+
+def test_mv_gcd_recovers_planted_factor_of_dense_pair():
+    F, G = _roadmap_pair(5)
+    H = mp("x1*x3-2*x2+7", first_index=1)
+    assert format_multipoly(mv_gcd(F * H, G * H), first_index=1) == "x1*x3-2*x2+7"
+
+
+@pytest.mark.parametrize(
+    "F, G, nvars",
+    [
+        # GCDHEU's images of this pair would reach coefficients of about
+        # 2*10^6 bits at the second variable set
+        ("x1^1000*x2^1000*x3^1000+1", "x1^1000*x2^1000*x3^1000+x1+2", 3),
+        ("x1^1000*x2^1000*x3^1000*x4^1000+1", "x1^1000*x2^1000*x3^1000*x4^1000+x1+2", 4),
+        ("(x1+x2)^100-x1^100", "(x1-x2)^100+x2^99", 2),
+    ],
+)
+def test_coprime_high_degree_pairs(F, G, nvars):
+    assert coprime_multivariate(mp(F, nvars, first_index=1), mp(G, nvars, first_index=1))
+
+
+def test_coprime_when_every_small_point_shares_a_root():
+    # G(t, t) = (t-1)(t+1)(t-3), so at x2 = 1, -1 and 3 both restrictions
+    # to x1 vanish at x1 = x2; GCDHEU decides the pair instead
+    F, G = mp("x1-x2", 2, first_index=1), mp("x1^3-3*x1^2-x2+3", 2, first_index=1)
+    assert not _free_of(F.ints, G.ints, 0)
+    assert coprime_multivariate(F, G)
+
+
+def test_mv_gcd_of_high_degree_pair_with_one_variable_factor():
+    # x3+5 is not free of x3, so GCDHEU sets x3; one level down the gcd of
+    # the images is an integer, which the small points prove
+    F = mp("(x1^60*x2^60*x3^60+1)*(x3+5)", first_index=1)
+    G = mp("(x1^60*x2^60*x3^60+x1+2)*(x3+5)", first_index=1)
+    assert format_multipoly(mv_gcd(F, G), first_index=1) == "x3+5"
 
 
 def test_format_round_trip():

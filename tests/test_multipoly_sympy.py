@@ -1,12 +1,13 @@
-"""substitute and evaluate_poly against sympy composition over QQ."""
+"""substitute and evaluate_poly against sympy composition, mv_gcd and
+mv_exact_div against sympy's gcd and div, all over QQ."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from torigcd.multipoly import MultiPoly, evaluate_poly, substitute
+from torigcd.multipoly import MultiPoly, evaluate_poly, mv_exact_div, mv_gcd, substitute
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
 from torigcd.ratfunc import RationalFunction
 from torigcd.unipoly import UniPoly
@@ -83,3 +84,64 @@ def test_evaluate_poly_matches_sympy(F, gs):
     composed = to_sympy(F).xreplace({x: uni_to_sympy(g) for x, g in zip(xs, gs)})
     assert poly_qq(uni_to_sympy(value)) == poly_qq(sympy.expand(composed))
     assert value == substitute(F, [RationalFunction(g) for g in gs]).num
+
+
+# in 2 to 4 variables, up to four terms of degree at most 2 in each variable
+def _mpolys_in(nvars):
+    return st.dictionaries(
+        st.tuples(*(st.integers(0, 2) for _ in range(nvars))), rationals, max_size=4
+    ).map(lambda t: MultiPoly(nvars, t))
+
+
+def _triples(nvars):
+    return st.tuples(*(_mpolys_in(nvars) for _ in range(3)))
+
+
+triples = st.integers(2, 4).flatmap(_triples)
+
+
+def poly_qq_x(F: MultiPoly):
+    gens = sympy.symbols(f"x0:{F.nvars}")
+    expr = sum(
+        (sympy.Rational(c.numerator, c.denominator) * sympy.prod(x**e for x, e in zip(gens, exp))
+         for exp, c in F.terms.items()),
+        sympy.Integer(0),
+    )
+    return sympy.Poly(expr, *gens, domain=sympy.QQ)
+
+
+def mp2(text):
+    return parse_multipoly(text, 2)
+
+
+# x1 - 4 vanishes at x1 = 4, the first point tried for the pair
+# x0 + x1, x1 - 4; the planted factor x0 - x1 + 1 keeps an image vanishing
+@given(triples)
+@settings(max_examples=150, deadline=None)
+@example((mp2("x0+x1"), mp2("x1-4"), mp2("1")))
+@example((mp2("x0+x1"), mp2("x1-4"), mp2("x0-x1+1")))
+def test_mv_gcd_matches_sympy(case):
+    A, B, H = case
+    assume(not H.is_zero() and not (A.is_zero() and B.is_zero()))
+    F, G = A * H, B * H
+    # sympy's gcd over QQ is monic in lex order with x0 > x1 > ..., the
+    # order whose leading coefficient mv_gcd sets to 1
+    assert poly_qq_x(mv_gcd(F, G)) == poly_qq_x(F).gcd(poly_qq_x(G))
+
+
+@given(triples)
+@settings(max_examples=150, deadline=None)
+@example((mp2("x0+x1"), mp2("x1-4"), mp2("0")))
+@example((mp2("x0^2+x1"), mp2("x0+1"), mp2("-x0^2*x1")))
+def test_mv_exact_div_matches_sympy(case):
+    Q, B, R = case
+    assume(not B.is_zero())
+    A = Q * B + R
+    # {B} is a Groebner basis of the ideal it generates, so sympy's
+    # remainder is zero exactly when B divides A
+    quot, rem = poly_qq_x(A).div(poly_qq_x(B))
+    if rem.is_zero:
+        assert poly_qq_x(mv_exact_div(A, B)) == quot
+    else:
+        with pytest.raises(ValueError):
+            mv_exact_div(A, B)

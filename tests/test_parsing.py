@@ -12,6 +12,7 @@ from torigcd.ordering import parse_order
 from torigcd.parsing import (
     MAX_COEFF_BITS,
     MAX_POWER_DEGREE,
+    MAX_POWER_SIZE,
     MAX_POWER_TERMS,
     infer_homogeneous_nvars,
     parse_multipoly,
@@ -169,7 +170,7 @@ def test_power_term_cap_boundary():
     # the degree bound applies when the terms bound overcounts: 1 + 9k
     base = "+".join(f"x0^{j}" for j in range(10))
     assert parse_multipoly(f"({base})^111", 1).total_degree() == 999
-    # every one-variable power the degree cap accepts stays accepted
+    # (x0+1)^1000, at the degree cap, is still accepted
     assert len(parse_multipoly(f"(x0+1)^{MAX_POWER_DEGREE}", 1).ints) == MAX_POWER_TERMS
 
 
@@ -185,6 +186,21 @@ def test_product_term_cap():
     assert len(parse_multipoly("(x0+1)^500*(x0-1)^500", 1).ints) == 501
     with pytest.raises(ParseError, match="term cap"):
         parse_multipoly("(x0+1)^500*(x0-1)^501", 1)
+
+
+def test_power_size_cap_boundary():
+    # (2^19*x0+x1)^k has at most k+1 terms of 20k bits: k = 386 gives
+    # 387*20*386 = 2987640 and k = 387 gives 3003120, both inside the
+    # degree, coefficient and term caps
+    assert MAX_POWER_SIZE == 3 * 10**6
+    assert len(parse_multipoly("(2^19*x0+x1)^386", 2).ints) == 387
+    assert parse_ratfunc("(2^19*z+1)^386").num.degree == 386
+    for text in ("(2^19*x0+x1)^387", "(1023*x0+1023*x1)^1000"):
+        with pytest.raises(ParseError, match="size cap"):
+            parse_multipoly(text, 2)
+    for text in ("(2^19*z+1)^387", "(1023*z+1023)^1000"):
+        with pytest.raises(ParseError, match="size cap"):
+            parse_ratfunc(text)
 
 
 def test_long_integer_literal_is_parse_error():
