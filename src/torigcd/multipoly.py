@@ -353,13 +353,6 @@ def equalize_degrees(F: MultiPoly, G: MultiPoly) -> "tuple[MultiPoly, MultiPoly]
     return F ** G.total_degree(), G ** F.total_degree()
 
 
-def power_vars(F: MultiPoly, k: int) -> MultiPoly:
-    """Replace every variable by its k-th power."""
-    if k < 1:
-        raise ValueError("power substitution needs k >= 1")
-    return _new(F.nvars, {tuple(k * x for x in e): c for e, c in F.ints.items()}, F.den)
-
-
 def substitute(F: MultiPoly, hs: Sequence[RationalFunction]) -> RationalFunction:
     """The reduced rational function F(h_1, ..., h_n).
 

@@ -130,10 +130,6 @@ class DivisorVector:
     basis: Tuple[UniPoly, ...]
     exponents: Tuple[int, ...]
 
-    def degree_weighted_sum(self) -> int:
-        finite = sum(e * b.degree for e, b in zip(self.exponents, self.basis))
-        return finite + self.exponents[-1]
-
 
 def divisor_vector(f: RationalFunction, basis: Sequence[UniPoly]) -> DivisorVector:
     finite, at_inf = divisor_exponents(f, basis)

@@ -90,7 +90,7 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __add__(self, other) -> "RationalFunction":
         other = _coerce(other)

@@ -16,8 +16,7 @@ by Gauss's lemma the quotient is an integer polynomial whenever the
 division is exact, so the first leading coefficient that does not divide
 proves there is a remainder.  Only then does ``divmod`` pseudo-divide the
 numerators in the kernel and scale its quotient and remainder back over
-one denominator each.  ``divide_out`` by a multiple of z divides nothing:
-the multiplicity is the number of vanishing low coefficients.
+one denominator each.
 ``uni_gcd_cofactors`` returns the quotients by the gcd that the kernel's
 gcd check has already computed, for callers that divide by the gcd.
 """
@@ -214,17 +213,6 @@ class UniPoly:
             dk *= d
         return Fraction(acc, self.den * (dk // d))
 
-    def compose_power(self, k: int) -> "UniPoly":
-        """p(z^k)."""
-        if k <= 0:
-            raise ValueError("power substitution needs k >= 1")
-        if not self.ints:
-            return self
-        out = [0] * ((len(self.ints) - 1) * k + 1)
-        for i, c in enumerate(self.ints):
-            out[i * k] = c
-        return _new(tuple(out), self.den)
-
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
 
@@ -350,20 +338,14 @@ def divide_out(p: UniPoly, q: UniPoly) -> "tuple[int, UniPoly]":
     if q.degree < 1:
         raise ValueError("divide_out needs a nonconstant divisor")
     a = p.ints
-    if len(q.ints) == 2 and not q.ints[0]:
-        # q = c*z: the valuation is the number of vanishing low coefficients
-        c = q.ints[1]
-        e = next(i for i, x in enumerate(a) if x)
-        a = a[e:]
-    else:
-        c, b = _primitive(q.ints)
-        e = 0
-        while True:
-            quot = kernel.exact_quotient(a, b)
-            if quot is None:
-                break
-            a = quot
-            e += 1
+    c, b = _primitive(q.ints)
+    e = 0
+    while True:
+        quot = kernel.exact_quotient(a, b)
+        if quot is None:
+            break
+        a = quot
+        e += 1
     if e == 0:
         return 0, p
     scale = q.den**e

@@ -24,10 +24,10 @@ from typing import Sequence
 from . import kernel
 from .errors import HypothesisError
 from .idealslice import binom, build_basis_slice, slice_constants
-from .multipoly import MultiPoly, evaluate_poly, format_multipoly
+from .multipoly import MultiPoly, evaluate_poly
 from .ordering import Weight
-from .ratfunc import Place, RationalFunction, format_ratfunc, valuation
-from .unipoly import UniPoly, _canon, format_unipoly, uni_gcd, uni_gcd_list
+from .ratfunc import Place, RationalFunction, format_ratfunc, place_multiplicity, valuation
+from .unipoly import UniPoly, _canon, format_unipoly, uni_gcd_cofactors, uni_gcd_list
 
 
 def _poly_det(m: "list[list[UniPoly]]") -> UniPoly:
@@ -181,6 +181,15 @@ def bs_check(
     where I indexes the monomials of F and G.  Hypothesis violations (shared
     factors, common zeros of the g's, vanishing compositions, the place at
     infinity) are rejected with certificates rather than checked around.
+
+    Each slice element is a generator times a monomial, B_j = F_s x^i, so
+    eta_j = (F_s(g)/h) g^i and v(eta_j) = a_s + u . i by additivity, with
+    a_s = v(F_s(g)/h) >= 0 since h divides F_s(g).  The sum therefore takes
+    two valuations and integer dot products.  It rejects exactly what
+    valuing each eta_j would: a valuation is rejected when the irreducible
+    factors of the place divide its argument to different powers; each g_k
+    passed that test when u was read, so multiplying by g^i shifts every
+    factor's order by the same u . i, and both families are nonempty.
     """
     if pl.is_infinite():
         raise HypothesisError("the local inequality is checked at finite places")
@@ -193,12 +202,13 @@ def bs_check(
     for g in gs:
         if g.is_zero():
             raise HypothesisError("base polynomials must be nonzero")
-    if uni_gcd_list(list(gs)).degree > 0:
+    common = uni_gcd_list(list(gs))
+    if common.degree > 0:
         raise HypothesisError(
             "base polynomials must have no common zero",
-            {"common_factor": format_unipoly(uni_gcd_list(list(gs)))},
+            {"common_factor": format_unipoly(common)},
         )
-    u = tuple(_vplus(RationalFunction(g), pl) for g in gs)
+    u = tuple(place_multiplicity(g, pl.poly) for g in gs)
     order = Weight(u)
     s = build_basis_slice(F, G, m, order)
     d = s.d
@@ -210,20 +220,20 @@ def bs_check(
             "a composed polynomial vanishes identically",
             {"F1(g)": format_unipoly(fg), "F2(g)": format_unipoly(gg)},
         )
-    h = uni_gcd(fg, gg)
-    etas = []
-    for beta in s.B:
-        val = evaluate_poly(beta, list(gs))
-        if val.is_zero():
-            raise HypothesisError(
-                "a slice element vanishes under composition",
-                {"element": format_multipoly(beta)},
-            )
-        etas.append(RationalFunction(val, h))
+    h, fh, gh = uni_gcd_cofactors(fg, gg)
+    a1 = place_multiplicity(fh, pl.poly)
+    a2 = place_multiplicity(gh, pl.poly)
+
+    def weight(e: "tuple[int, ...]") -> int:
+        return sum(a * b for a, b in zip(u, e))
+
+    # B1 \ B1' by multiplier: F1 x^i lies in B1' iff i = TM(F2) + i'
+    dropped = {tuple(a + b for a, b in zip(s.tm2, e)) for e in s.B1prime_exps}
+    rhs = sum(a1 + weight(e) for e in s.B1_exps if e not in dropped)
+    rhs += sum(a2 + weight(e) for e in s.B2_exps)
     exps = set(s.F1.ints) | set(s.F2.ints)
-    min_ui = min(sum(a * b for a, b in zip(u, e)) for e in exps)
+    min_ui = min(weight(e) for e in exps)
     lhs = consts.c * sum(u) - binom(m + n - 2 * d, n) * min_ui
-    rhs = sum(_vplus(eta, pl) for eta in etas)
     return LocalCheckReport(
         check="bs",
         place=pl,

@@ -250,8 +250,8 @@ def test_bs_check(capsys):
 
 
 def test_bs_check_at_z_with_high_multiplicity(capsys):
-    # valuations at z of several hundred, read off the low coefficients; the
-    # report must equal the one found by dividing by z once per unit
+    # valuations at z of several hundred summed over the slice; the report
+    # must equal the one the per-element valuations gave
     argv = ["bs-check", "--F", "x0+x1", "--G", "x0-2*x1", "--m", "120",
             "--g", "z^3", "--g", "z+1", "--place", "z"]
     assert run(argv) == 0

@@ -19,7 +19,6 @@ from torigcd.multipoly import (
     homogenize,
     mv_exact_div,
     mv_gcd,
-    power_vars,
     substitute,
 )
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
@@ -126,7 +125,8 @@ def test_substitute_two_routes_agree():
         }
         F = MultiPoly(3, terms)
         k = rng.randint(1, 3)
-        assert substitute(F, [g**k for g in gs]) == substitute(power_vars(F, k), gs)
+        F_k = MultiPoly(3, {tuple(k * x for x in e): c for e, c in F.terms.items()})
+        assert substitute(F, [g**k for g in gs]) == substitute(F_k, gs)
 
 
 def test_evaluate_poly_matches_substitute():
@@ -290,7 +290,7 @@ def _assert_canonical(F):
 @settings(max_examples=120, deadline=None)
 def test_integer_form_is_canonical(a, b, k, c):
     for F in (a, b, a + b, a - b, -a, a * b, a * c, a**k, a.mul_monomial((1, 0, 2), c),
-              homogenize(a, max(a.total_degree(), 0) + 1), power_vars(a, 2)):
+              homogenize(a, max(a.total_degree(), 0) + 1)):
         _assert_canonical(F)
     _assert_canonical(dehomogenize(homogenize(a, max(a.total_degree(), 0))))
 

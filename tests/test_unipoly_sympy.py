@@ -158,13 +158,6 @@ def test_evaluate(p, x):
     assert p.evaluate(x.numerator) == frac(P.eval(x.numerator))
 
 
-@given(polys, st.integers(1, 4))
-@settings(max_examples=100, deadline=None)
-def test_compose_power(p, k):
-    P = to_sympy(p)
-    check(p.compose_power(k), P.compose(sympy.Poly(z**k, z, domain=sympy.QQ)))
-
-
 @given(polys, polys)
 @settings(max_examples=150, deadline=None)
 def test_canonical_form(p, q):

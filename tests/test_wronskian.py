@@ -7,13 +7,16 @@ from math import factorial
 import pytest
 
 from torigcd.errors import HypothesisError
+from torigcd.idealslice import binom, build_basis_slice, slice_constants
 from torigcd.linalg import rank
+from torigcd.multipoly import evaluate_poly, format_multipoly
 from torigcd.nevandeg import mult_independent
+from torigcd.ordering import Weight
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
 from torigcd.randgen import random_coprime_pair, random_ratfunc, random_unipoly
-from torigcd.ratfunc import Place, RationalFunction, coprime_basis, valuation
-from torigcd.unipoly import UniPoly
-from torigcd.wronskian import _poly_det, bs_check, ordw_check, wronskian
+from torigcd.ratfunc import Place, RationalFunction, coprime_basis, place_multiplicity, valuation
+from torigcd.unipoly import UniPoly, format_unipoly, uni_gcd, uni_gcd_list
+from torigcd.wronskian import LocalCheckReport, _poly_det, bs_check, ordw_check, wronskian
 
 
 def rf(text):
@@ -274,3 +277,113 @@ def test_bs_random_admissible_instances():
             continue  # common zero among gs or composed vanishing; resample
         done += 1
         assert rep.passed
+
+
+def _bs_check_per_element(F, G, m, gs, pl):
+    """bs_check by valuing every slice element: v+(B_j(g)/h) summed over B."""
+    n = F.nvars - 1
+    common = uni_gcd_list(list(gs))
+    if common.degree > 0:
+        raise HypothesisError(
+            "base polynomials must have no common zero",
+            {"common_factor": format_unipoly(common)},
+        )
+    u = tuple(max(0, valuation(RationalFunction(g), pl)) for g in gs)
+    s = build_basis_slice(F, G, m, Weight(u))
+    consts = slice_constants(m, n, s.d)
+    fg = evaluate_poly(s.F1, list(gs))
+    gg = evaluate_poly(s.F2, list(gs))
+    if fg.is_zero() or gg.is_zero():
+        raise HypothesisError(
+            "a composed polynomial vanishes identically",
+            {"F1(g)": format_unipoly(fg), "F2(g)": format_unipoly(gg)},
+        )
+    h = uni_gcd(fg, gg)
+    rhs = 0
+    for beta in s.B:
+        val = evaluate_poly(beta, list(gs))
+        if val.is_zero():
+            raise HypothesisError(
+                "a slice element vanishes under composition",
+                {"element": format_multipoly(beta)},
+            )
+        rhs += max(0, valuation(RationalFunction(val, h), pl))
+    min_ui = min(
+        sum(a * b for a, b in zip(u, e)) for e in set(s.F1.ints) | set(s.F2.ints)
+    )
+    lhs = consts.c * sum(u) - binom(m + n - 2 * s.d, n) * min_ui
+    return LocalCheckReport(
+        check="bs",
+        place=pl,
+        lhs=lhs,
+        rhs=rhs,
+        passed=lhs <= rhs,
+        info={
+            "m": m,
+            "n": n,
+            "d": s.d,
+            "c": consts.c,
+            "M": consts.M,
+            "u": list(u),
+            "swapped": s.swapped,
+            "tm_tie": s.tm_tie,
+            "h": format_unipoly(h),
+            "min_weighted_exponent": min_ui,
+        },
+    )
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args).to_json()
+    except HypothesisError as exc:
+        return str(exc), exc.certificate
+
+
+def _with_values(roots, values):
+    """The polynomial of degree < len(roots) taking the values at the roots."""
+    out = UniPoly()
+    for r, v in zip(roots, values):
+        term = UniPoly.constant(v)
+        for t in roots:
+            if t != r:
+                term = term * UniPoly([Fraction(-t, r - t), Fraction(1, r - t)])
+        out = out + term
+    return out
+
+
+def test_bs_matches_per_element_valuations():
+    # the sum from two valuations and dot products against valuing each
+    # slice element.  Each g takes nonzero values at the roots of the place,
+    # so it is clean there (or a power of the place times such a g), and
+    # F_s(g) may vanish at some roots only: a partial overlap in a slice
+    # element, which both routes must reject alike
+    rng = random.Random(1103)
+    places = [
+        ("z", [0]),
+        ("2*z+3", [Fraction(-3, 2)]),
+        ("z^2+z", [0, -1]),
+        ("z^3-z", [0, 1, -1]),
+        ("z^2-3*z", [0, 3]),
+        ("z^3-4*z", [0, 2, -2]),
+    ]
+    overlaps = 0
+    for _ in range(1500):
+        nvars = rng.randint(2, 4)
+        d = rng.randint(1, 2) if nvars < 4 else 1
+        m = rng.randint(d, 2 * d + 2)
+        F, G = random_coprime_pair(rng, nvars, d)
+        text, roots = rng.choice(places)
+        P = parse_unipoly(text)
+        gs = []
+        for _ in range(nvars):
+            g = _with_values(roots, [rng.choice((-2, -1, 1, 2)) for _ in roots])
+            g = (g + P * random_unipoly(rng, 1)) * P ** rng.choice((0, 0, 1))
+            gs.append(g or UniPoly.constant(1))
+        pl = Place.finite(P)
+        got = _outcome(bs_check, F, G, m, gs, pl)
+        assert got == _outcome(_bs_check_per_element, F, G, m, gs, pl)
+        if got == ("place polynomial overlaps the argument only partially", {"place": str(pl)}):
+            assert all(place_multiplicity(g, pl.poly) >= 0 for g in gs)
+            overlaps += 1
+    assert overlaps >= 100
