@@ -4,7 +4,9 @@ For coprime homogeneous F1, F2 of equal degree d, the degree-m slice of the
 ideal they generate has the explicit spanning family
 B = (B1 \\ B1') u B2 with B1 = {F1 x^i : |i| = m-d}, B2 = {F2 x^i}, and
 B1' = {F1 TM(F2) x^i : |i| = m-2d}, where TM is the trailing monomial of F2
-in a fixed monomial order.  Its size is the closed form
+in a fixed monomial order.  Every element is a generator times a monomial,
+so the family is held as its multiplier exponents: F1 x^i lies in B1'
+exactly when TM(F2) divides x^i.  Its size is the closed form
 M = 2 C(m+n-d, n) - C(m+n-2d, n); verification reduces both the family and
 the full generating set to exact ranks.  All binomials with negative upper
 index evaluate to 0, which makes the m < 2d edge (empty B1') uniform.
@@ -12,11 +14,12 @@ index evaluate to 0, which makes the m < 2d edge (empty B1') uniform.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from operator import add
+from typing import List, Tuple
 
 from . import linalg
 from .errors import HypothesisError
@@ -43,17 +46,23 @@ def monomial_count(delta: int, n: int) -> int:
 def monomials_of_degree(nvars: int, delta: int) -> "list[Exponent]":
     """All degree-delta exponent vectors, in descending lexicographic order.
 
-    Sorted multisets of variable indices come out of
-    combinations_with_replacement in increasing lex order, which is
-    descending lex order on their exponent vectors.
+    Each vector is built from the one before: one unit moves out of the
+    last nonzero slot before the final slot, and the final slot's units
+    gather behind it.  The walk ends at delta units in the final slot.
     """
     if delta < 0:
         return []
-    out = []
-    for indices in itertools.combinations_with_replacement(range(nvars), delta):
-        e = [0] * nvars
-        for i in indices:
-            e[i] += 1
+    last = nvars - 1
+    e = [delta] + [0] * last
+    out = [tuple(e)]
+    while e[last] != delta:
+        tail = e[last]
+        e[last] = 0
+        j = last - 1
+        while not e[j]:
+            j -= 1
+        e[j] -= 1
+        e[j + 1] = tail + 1
         out.append(tuple(e))
     return out
 
@@ -95,7 +104,13 @@ def slice_constants(m: int, n: int, d: int) -> SliceConstants:
 
 @dataclass(frozen=True)
 class BasisSlice:
-    """The constructed slice family, with the multiplier monomials retained."""
+    """The slice family, held as its generators and multiplier exponents.
+
+    B1 and B2 are F1 x^i and F2 x^i over `multipliers` (degree m-d, in
+    descending lex order), B1' is F1 x^(tm2+i') over `B1prime_exps`, and
+    `kept` lists the B1 multipliers outside B1'.  B, built on first access,
+    is F1 x^i over `kept`, then F2 x^i over `multipliers`.
+    """
 
     m: int
     n: int
@@ -106,13 +121,15 @@ class BasisSlice:
     swapped: bool
     tm_tie: bool
     tm2: Exponent
-    B1: Tuple[MultiPoly, ...]
-    B2: Tuple[MultiPoly, ...]
-    B1prime: Tuple[MultiPoly, ...]
-    B: Tuple[MultiPoly, ...]
-    B1_exps: Tuple[Exponent, ...]
-    B2_exps: Tuple[Exponent, ...]
+    multipliers: Tuple[Exponent, ...]
     B1prime_exps: Tuple[Exponent, ...]
+    kept: Tuple[Exponent, ...]
+
+    @cached_property
+    def B(self) -> Tuple[MultiPoly, ...]:
+        return tuple(self.F1.mul_monomial(e) for e in self.kept) + tuple(
+            self.F2.mul_monomial(e) for e in self.multipliers
+        )
 
 
 def build_basis_slice(
@@ -157,16 +174,9 @@ def build_basis_slice(
     if swapped:
         F1, F2 = F2, F1
         t1, t2 = t2, t1
-    tie = t1 == t2
-    b1_exps = tuple(monomials_of_degree(nvars, m - d))
-    b1p_exps = tuple(monomials_of_degree(nvars, m - 2 * d))
-    B1 = tuple(F1.mul_monomial(e) for e in b1_exps)
-    B2 = tuple(F2.mul_monomial(e) for e in b1_exps)
-    B1prime = tuple(
-        F1.mul_monomial(tuple(a + b for a, b in zip(t2, e))) for e in b1p_exps
-    )
-    dropped = set(B1prime)
-    B = tuple(p for p in B1 if p not in dropped) + B2
+    multipliers = tuple(monomials_of_degree(nvars, m - d))
+    # F1 x^i lies in B1' iff i = TM(F2) + i', i.e. iff x^TM(F2) divides x^i
+    kept = tuple(i for i in multipliers if any(a < b for a, b in zip(i, t2)))
     return BasisSlice(
         m=m,
         n=n,
@@ -175,35 +185,12 @@ def build_basis_slice(
         F1=F1,
         F2=F2,
         swapped=swapped,
-        tm_tie=tie,
+        tm_tie=t1 == t2,
         tm2=t2,
-        B1=B1,
-        B2=B2,
-        B1prime=B1prime,
-        B=B,
-        B1_exps=b1_exps,
-        B2_exps=b1_exps,
-        B1prime_exps=b1p_exps,
+        multipliers=multipliers,
+        B1prime_exps=tuple(monomials_of_degree(nvars, m - 2 * d)),
+        kept=kept,
     )
-
-
-def coefficient_matrix(
-    polys: Sequence[MultiPoly], nvars: int, degree: int
-) -> "list[list[int]]":
-    """Rows = polynomials, columns = degree-m monomials in descending lex order.
-
-    Each row holds the integer numerators of its polynomial, so it is the
-    polynomial times its denominator: the row space, and every rank, is
-    that of the rational coefficient rows.
-    """
-    columns = {e: i for i, e in enumerate(monomials_of_degree(nvars, degree))}
-    rows = []
-    for p in polys:
-        row = [0] * len(columns)
-        for e, c in p.ints.items():
-            row[columns[e]] = c
-        rows.append(row)
-    return rows
 
 
 @dataclass(frozen=True)
@@ -221,12 +208,26 @@ class BasisReport:
 
 
 def verify_basis(s: BasisSlice) -> BasisReport:
-    """Check |B| = rank(B) = span-dim(B1 u B2) = M by exact row reduction."""
-    nvars = s.n + 1
+    """Check |B| = rank(B) = span-dim(B1 u B2) = M by exact row reduction.
+
+    The row of F x^i holds F's integer numerators shifted by i into the
+    degree-m columns, so it is F x^i times F's denominator and every rank
+    is that of the rational coefficient rows.
+    """
+    columns = {e: k for k, e in enumerate(monomials_of_degree(s.n + 1, s.m))}
+
+    def row(F: MultiPoly, i: Exponent) -> "list[int]":
+        out = [0] * len(columns)
+        for e, c in F.ints.items():
+            out[columns[tuple(map(add, e, i))]] = c
+        return out
+
+    rows1 = {i: row(s.F1, i) for i in s.multipliers}
+    rows2 = [row(s.F2, i) for i in s.multipliers]
     M = slice_constants(s.m, s.n, s.d).M
-    rank_B = linalg.rank(coefficient_matrix(s.B, nvars, s.m))
-    span_dim = linalg.rank(coefficient_matrix(s.B1 + s.B2, nvars, s.m))
-    size = len(s.B)
+    rank_B = linalg.rank([rows1[i] for i in s.kept] + rows2)
+    span_dim = linalg.rank(list(rows1.values()) + rows2)
+    size = len(s.kept) + len(rows2)
     return BasisReport(
         m=s.m,
         n=s.n,
@@ -258,17 +259,18 @@ def verify_sum_formulas(s: BasisSlice) -> SumFormulaReport:
 
     For j = 1, 2:  sum over B_j of ord_{x_i}(s / F_j) = C(m+n-d, n+1), and
     over B1': sum = C(m+n-2d, n+1) + C(m+n-2d, n) * ord_{x_i} TM(F2),
-    where each s / F_j is the multiplier monomial recorded at construction.
+    where each s / F_j is the multiplier monomial recorded at construction
+    (B1 and B2 share their multipliers, so their rows agree).
     """
     m, n, d = s.m, s.n, s.d
     rows: List[SumFormulaRow] = []
     ok = True
     for i in range(n + 1):
         expected = binom(m + n - d, n + 1)
-        for family, exps in (("B1", s.B1_exps), ("B2", s.B2_exps)):
-            total = sum(e[i] for e in exps)
+        total = sum(e[i] for e in s.multipliers)
+        for family in ("B1", "B2"):
             rows.append(SumFormulaRow(family, i, total, expected))
-            ok = ok and total == expected
+        ok = ok and total == expected
         expected_p = binom(m + n - 2 * d, n + 1) + binom(m + n - 2 * d, n) * s.tm2[i]
         total_p = sum(s.tm2[i] + e[i] for e in s.B1prime_exps)
         rows.append(SumFormulaRow("B1prime", i, total_p, expected_p))

@@ -227,10 +227,8 @@ def bs_check(
     def weight(e: "tuple[int, ...]") -> int:
         return sum(a * b for a, b in zip(u, e))
 
-    # B1 \ B1' by multiplier: F1 x^i lies in B1' iff i = TM(F2) + i'
-    dropped = {tuple(a + b for a, b in zip(s.tm2, e)) for e in s.B1prime_exps}
-    rhs = sum(a1 + weight(e) for e in s.B1_exps if e not in dropped)
-    rhs += sum(a2 + weight(e) for e in s.B2_exps)
+    rhs = sum(a1 + weight(e) for e in s.kept)
+    rhs += sum(a2 + weight(e) for e in s.multipliers)
     exps = set(s.F1.ints) | set(s.F2.ints)
     min_ui = min(weight(e) for e in exps)
     lhs = consts.c * sum(u) - binom(m + n - 2 * d, n) * min_ui

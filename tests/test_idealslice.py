@@ -1,6 +1,7 @@
 """Slice bases of the ideal (F1, F2) in one graded piece: counts and sums."""
 
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,10 +9,10 @@ import pytest
 
 from torigcd.errors import HypothesisError
 from torigcd.idealslice import (
+    BasisReport,
     asymptotic_check,
     binom,
     build_basis_slice,
-    coefficient_matrix,
     monomial_count,
     monomials_of_degree,
     slice_constants,
@@ -19,13 +20,36 @@ from torigcd.idealslice import (
     verify_sum_formulas,
 )
 from torigcd.linalg import rank
-from torigcd.ordering import LEX, Weight
+from torigcd.ordering import LEX, Weight, trailing_monomial
 from torigcd.parsing import parse_multipoly
-from torigcd.randgen import random_coprime_pair, random_order
+from torigcd.randgen import random_coprime_pair, random_order, random_weight_order
 
 
 def mp(text, nvars):
     return parse_multipoly(text, nvars)
+
+
+def by_multisets(nvars, delta):
+    """Degree-delta exponent vectors from sorted multisets of variable indices.
+
+    The multisets come out in increasing lex order, which is descending lex
+    order on their exponent vectors.
+    """
+    if delta < 0:
+        return []
+    out = []
+    for indices in itertools.combinations_with_replacement(range(nvars), delta):
+        e = [0] * nvars
+        for i in indices:
+            e[i] += 1
+        out.append(tuple(e))
+    return out
+
+
+def int_rows(polys):
+    """Integer numerator rows of the polynomials over their joint support."""
+    columns = sorted({e for p in polys for e in p.ints})
+    return [[p.ints.get(e, 0) for e in columns] for p in polys]
 
 
 def test_binom_edges():
@@ -44,6 +68,11 @@ def test_monomials_of_degree():
     # descending lex
     assert ms == sorted(ms, reverse=True)
     assert monomials_of_degree(2, 0) == [(0, 0)]
+    for nvars in range(1, 6):
+        for delta in range(-1, 9):
+            assert monomials_of_degree(nvars, delta) == by_multisets(nvars, delta)
+    assert monomials_of_degree(2, 998) == by_multisets(2, 998)
+    assert monomials_of_degree(1000, 1) == by_multisets(1000, 1)
 
 
 def test_slice_constants_examples():
@@ -89,10 +118,8 @@ def test_swap_gives_same_span():
     a = build_basis_slice(F1, F2, 4)
     b = build_basis_slice(F2, F1, 4)
     assert len(a.B) == len(b.B)
-    nvars = 3
-    ra = coefficient_matrix(list(a.B), nvars, 4)
-    rb = coefficient_matrix(list(b.B), nvars, 4)
-    assert rank(ra) == rank(rb) == rank(ra + rb)  # identical span
+    ra, rb, rab = int_rows(a.B), int_rows(b.B), int_rows(a.B + b.B)
+    assert rank(ra) == rank(rb) == rank(rab)  # identical span
 
 
 def test_tm_swap_bookkeeping():
@@ -104,10 +131,12 @@ def test_tm_swap_bookkeeping():
 
 
 def test_corrupted_slice_fails_verification():
-    s = build_basis_slice(mp("x0", 2), mp("x1", 2), 2)
-    dup = s.B[:-1] + (s.B[0],)
-    broken = dataclasses.replace(s, B=dup)
-    assert not verify_basis(broken).passed
+    s = build_basis_slice(mp("x0^2", 2), mp("x1^2", 2), 4)
+    assert s.kept == ((2, 0), (1, 1)) and verify_basis(s).passed
+    duplicated = dataclasses.replace(s, kept=s.kept[:-1] + (s.kept[0],))
+    assert not verify_basis(duplicated).passed
+    dropped = dataclasses.replace(s, kept=s.kept[:-1])
+    assert not verify_basis(dropped).passed
 
 
 def test_hypothesis_gates():
@@ -143,8 +172,47 @@ def test_random_slices_verify():
         s = build_basis_slice(F1, F2, m, order=order)
         assert verify_basis(s).passed
         assert verify_sum_formulas(s).passed
-        assert len(s.B1) == len(s.B2) == monomial_count(m - d, n)
-        assert len(s.B1prime) == monomial_count(m - 2 * d, n)
+        assert len(s.multipliers) == monomial_count(m - d, n)
+        assert len(s.B1prime_exps) == monomial_count(m - 2 * d, n)
+        assert len(s.multipliers) - len(s.kept) == len(s.B1prime_exps)
+
+
+def polynomial_route(F1, F2, m, order):
+    """(B1 \\ B1') u B2 and B1 u B2 built as polynomials, B1' removed by equality."""
+    t1, t2 = trailing_monomial(F1, order), trailing_monomial(F2, order)
+    if order.compare(t2, t1) > 0:
+        F1, F2, t2 = F2, F1, t1
+    nvars, d = F1.nvars, F1.total_degree()
+    exps = by_multisets(nvars, m - d)
+    B1 = [F1.mul_monomial(e) for e in exps]
+    B2 = [F2.mul_monomial(e) for e in exps]
+    B1prime = {
+        F1.mul_monomial(tuple(a + b for a, b in zip(t2, e)))
+        for e in by_multisets(nvars, m - 2 * d)
+    }
+    return tuple(p for p in B1 if p not in B1prime) + tuple(B2), B1 + B2
+
+
+def test_multipliers_match_polynomial_route():
+    # B and both ranks from the multipliers against the polynomial families,
+    # with TM ties (where B1' removes F1 TM(F2)) at lex and weight orders
+    rng = random.Random(1201)
+    ties = 0
+    for case in range(150):
+        nvars = rng.randint(2, 4)
+        d = rng.randint(1, 3)
+        m = rng.randint(d, 2 * d + 2)
+        F1, F2 = random_coprime_pair(rng, nvars, d)
+        order = LEX if case % 2 else random_weight_order(rng, nvars)
+        s = build_basis_slice(F1, F2, m, order=order)
+        B, span = polynomial_route(F1, F2, m, order)
+        assert s.B == B
+        M = slice_constants(m, nvars - 1, d).M
+        rank_B, span_dim = rank(int_rows(B)), rank(int_rows(span))
+        passed = len(B) == rank_B == span_dim == M
+        assert verify_basis(s) == BasisReport(m, nvars - 1, d, M, len(B), rank_B, span_dim, passed)
+        ties += s.tm_tie
+    assert ties >= 20
 
 
 def test_weight_order_changes_nothing_about_counts():

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from torigcd.idealslice import build_basis_slice, slice_constants, verify_basis
 from torigcd.kernel import bareiss_rank
+from torigcd.multipoly import MultiPoly
 from torigcd.randgen import random_coprime_pair
 
 sympy = pytest.importorskip("sympy")
@@ -172,6 +173,8 @@ def test_verify_basis_matches_sympy_rank(cell, seed):
     s = build_basis_slice(F1, F2, m)
     report = verify_basis(s)
     columns = {e: i for i, e in enumerate(monomials(n + 1, m))}
+    shifts = [MultiPoly.monomial(n + 1, e) for e in monomials(n + 1, m - d)]
+    span = [F * x for F in (s.F1, s.F2) for x in shifts]
     assert report.rank_B == sympy_rank(_rows(s.B, columns))
-    assert report.span_dim == sympy_rank(_rows(s.B1 + s.B2, columns))
+    assert report.span_dim == sympy_rank(_rows(span, columns))
     assert report.passed and report.M == len(s.B)

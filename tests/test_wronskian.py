@@ -9,7 +9,7 @@ import pytest
 from torigcd.errors import HypothesisError
 from torigcd.idealslice import binom, build_basis_slice, slice_constants
 from torigcd.linalg import rank
-from torigcd.multipoly import evaluate_poly, format_multipoly
+from torigcd.multipoly import MultiPoly, evaluate_poly, format_multipoly
 from torigcd.nevandeg import mult_independent
 from torigcd.ordering import Weight
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
@@ -245,6 +245,23 @@ def test_bs_quadratic_instance():
         Place.finite(parse_unipoly("z")),
     )
     assert rep.passed
+
+
+def test_bs_builds_no_slice_polynomial(monkeypatch):
+    args = (
+        parse_multipoly("x0+x1", 2),
+        parse_multipoly("x0-2*x1", 2),
+        999,
+        [parse_unipoly("(z+2)^3"), parse_unipoly("z+1")],
+        Place.finite(parse_unipoly("z+2")),
+    )
+    expect = bs_check(*args).to_json()
+
+    def no_slice_polynomial(self, exp, c=1):
+        raise AssertionError("bs_check built a slice polynomial")
+
+    monkeypatch.setattr(MultiPoly, "mul_monomial", no_slice_polynomial)
+    assert bs_check(*args).to_json() == expect
 
 
 def test_bs_gates():
