@@ -235,8 +235,8 @@ def _cmd_bs_check(args) -> int:
 def _cmd_exp_slopes(args) -> int:
     a = parse_quad(args.a)
     b = parse_quad(args.b)
-    if args.kmax < 1:
-        raise _UsageError("exp-slopes: --kmax must be positive")
+    if not 1 <= args.kmax <= MAX_POWER_DEGREE:
+        raise _UsageError(f"exp-slopes: --kmax must be in 1..{MAX_POWER_DEGREE}, the row cap")
     scale = max(exp_char_slope(a), exp_char_slope(b))
     rows = []
     for k in range(1, args.kmax + 1):

@@ -58,9 +58,17 @@ class QuadExt:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
+    @classmethod
+    def _of(cls, a: Fraction, b: Fraction, d: int) -> "QuadExt":
+        """a + b*sqrt(d) from arithmetic on checked values, where d = 1 forces b = 0."""
+        out = object.__new__(cls)
+        for name, value in zip("abd", (a, b, d if b else 1)):
+            object.__setattr__(out, name, value)
+        return out
+
     @staticmethod
     def rational(x) -> "QuadExt":
-        return QuadExt(Fraction(x))
+        return QuadExt._of(Fraction(x), Fraction(0), 1)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -82,18 +90,18 @@ class QuadExt:
 
     def __add__(self, other: "QuadExt") -> "QuadExt":
         d = self._join(other)
-        return QuadExt(self.a + other.a, self.b + other.b, d)
+        return QuadExt._of(self.a + other.a, self.b + other.b, d)
 
     def __sub__(self, other: "QuadExt") -> "QuadExt":
         d = self._join(other)
-        return QuadExt(self.a - other.a, self.b - other.b, d)
+        return QuadExt._of(self.a - other.a, self.b - other.b, d)
 
     def __neg__(self) -> "QuadExt":
-        return QuadExt(-self.a, -self.b, self.d)
+        return QuadExt._of(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "QuadExt") -> "QuadExt":
         d = self._join(other)
-        return QuadExt(
+        return QuadExt._of(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -104,7 +112,7 @@ class QuadExt:
             raise ZeroDivisionError("inverse of zero")
         # conjugate over norm; the norm a^2 - b^2 d is nonzero for d squarefree
         norm = self.a * self.a - self.b * self.b * self.d
-        return QuadExt(self.a / norm, -self.b / norm, self.d)
+        return QuadExt._of(self.a / norm, -self.b / norm, self.d)
 
     def __truediv__(self, other: "QuadExt") -> "QuadExt":
         return self * other.inverse()

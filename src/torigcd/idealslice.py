@@ -107,9 +107,9 @@ class BasisSlice:
     """The slice family, held as its generators and multiplier exponents.
 
     B1 and B2 are F1 x^i and F2 x^i over `multipliers` (degree m-d, in
-    descending lex order), B1' is F1 x^(tm2+i') over `B1prime_exps`, and
-    `kept` lists the B1 multipliers outside B1'.  B, built on first access,
-    is F1 x^i over `kept`, then F2 x^i over `multipliers`.
+    descending lex order), and `kept` lists the B1 multipliers outside B1';
+    B1' is F1 x^i over the multipliers that `kept` leaves out.  B, built on
+    first access, is F1 x^i over `kept`, then F2 x^i over `multipliers`.
     """
 
     m: int
@@ -122,7 +122,6 @@ class BasisSlice:
     tm_tie: bool
     tm2: Exponent
     multipliers: Tuple[Exponent, ...]
-    B1prime_exps: Tuple[Exponent, ...]
     kept: Tuple[Exponent, ...]
 
     @cached_property
@@ -188,7 +187,6 @@ def build_basis_slice(
         tm_tie=t1 == t2,
         tm2=t2,
         multipliers=multipliers,
-        B1prime_exps=tuple(monomials_of_degree(nvars, m - 2 * d)),
         kept=kept,
     )
 
@@ -260,9 +258,10 @@ def verify_sum_formulas(s: BasisSlice) -> SumFormulaReport:
     For j = 1, 2:  sum over B_j of ord_{x_i}(s / F_j) = C(m+n-d, n+1), and
     over B1': sum = C(m+n-2d, n+1) + C(m+n-2d, n) * ord_{x_i} TM(F2),
     where each s / F_j is the multiplier monomial recorded at construction
-    (B1 and B2 share their multipliers, so their rows agree).
+    (B1 and B2 share theirs) and B1' is F1 times the multipliers not kept.
     """
     m, n, d = s.m, s.n, s.d
+    dropped = set(s.multipliers) - set(s.kept)
     rows: List[SumFormulaRow] = []
     ok = True
     for i in range(n + 1):
@@ -272,7 +271,7 @@ def verify_sum_formulas(s: BasisSlice) -> SumFormulaReport:
             rows.append(SumFormulaRow(family, i, total, expected))
         ok = ok and total == expected
         expected_p = binom(m + n - 2 * d, n + 1) + binom(m + n - 2 * d, n) * s.tm2[i]
-        total_p = sum(s.tm2[i] + e[i] for e in s.B1prime_exps)
+        total_p = sum(e[i] for e in dropped)
         rows.append(SumFormulaRow("B1prime", i, total_p, expected_p))
         ok = ok and total_p == expected_p
     return SumFormulaReport(rows=tuple(rows), passed=ok)

@@ -6,10 +6,10 @@ of the package: univariate products, exact and pseudo-quotients, gcds
 and their cofactors (GCDHEU of Char, Geddes and Gonnet, JSC 1989, over an
 unbounded sequence of evaluation points, which always ends) and exact ranks.
 
-``bareiss_rank`` keeps the name of the Bareiss elimination it replaced, so
-benchmark records stay comparable across versions.  It no longer rescales
-every row at every pivot: it keeps rows sparse and updates only the rows
-whose pivot-column entry is nonzero, dividing each by its content.
+``bareiss_rank`` reads each dense row of ints or Fractions once, clearing
+its denominators, and updates only the rows whose pivot-column entry is
+nonzero.  It keeps the name of the Bareiss elimination it replaced, so
+benchmark records stay comparable across versions.
 """
 
 from __future__ import annotations
@@ -207,10 +207,11 @@ def exact_quotient(a: IntPoly, b: IntPoly) -> "IntPoly | None":
     return quot
 
 
-def bareiss_rank(rows: List[List[int]]) -> int:
-    """Exact rank of dense int rows by fraction-free elimination.
+def bareiss_rank(rows: List[list]) -> int:
+    """Exact rank of dense int or Fraction rows by fraction-free elimination.
 
-    Each nonzero row is kept as a map from column to nonzero entry and filed
+    Each row is read once into a map from column to nonzero entry, scaled
+    by the lcm of its denominators if it has a Fraction entry, and filed
     under its leading column.  Columns are taken left to right; the rows
     filed under a column are the ones with a nonzero entry there (their
     head), and the sparsest of them, the one ending first among equals,
@@ -221,13 +222,15 @@ def bareiss_rank(rows: List[List[int]]) -> int:
     row plus a multiple of another keeps the row space over Q, so the rank,
     the number of pivots, is exact.  A sparse matrix thus costs work in
     proportion to the rows each pivot changes, not to rows times columns.
-    The rows are not modified.  The name is kept from the Bareiss
-    elimination this replaced, so benchmark records stay comparable.
+    The rows are not modified.
     """
     ncols = len(rows[0]) if rows else 0
     by_lead: "list[list[dict[int, int]] | None]" = [[] for _ in range(ncols)]
     for row in rows:
         entries = {c: x for c, x in enumerate(row) if x}
+        if any(type(x) is not int for x in entries.values()):
+            den = math.lcm(*(x.denominator for x in entries.values()))
+            entries = {c: x.numerator * (den // x.denominator) for c, x in entries.items()}
         if entries:
             by_lead[next(iter(entries))].append(entries)
     rank = 0

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Ranks take Fraction or int entries: they clear each row's denominators in
-integer arithmetic, skipping zeros, and hand the int rows to the kernel's
-fraction-free elimination (``kernel.bareiss_rank``), which touches only the
-rows each pivot changes; sparse slice matrices rank in time proportional
-to that fill.  Independence certificates (``pivots_or_relation``) take int
-rows and stay in integer arithmetic throughout.
+Ranks hand dense rows of Fraction or int entries, unchanged, to the
+kernel's fraction-free elimination (``kernel.bareiss_rank``), which clears
+each row's denominators as it reads the row and touches only the rows each
+pivot changes; sparse slice matrices rank in time proportional to that
+fill.  Independence certificates (``pivots_or_relation``) take int rows
+and stay in integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -16,20 +16,9 @@ from typing import Sequence
 from . import kernel
 
 
-def _cleared_int_rows(rows: Sequence[Sequence]) -> "list[list[int]]":
-    """Each row times the lcm of its denominators, as ints; entries may be ints."""
-    out = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row if x))
-        out.append([x.numerator * (den // x.denominator) if x else 0 for x in row])
-    return out
-
-
 def rank(rows: Sequence[Sequence]) -> int:
     """Exact rank via fraction-free elimination in the integer kernel."""
-    if not rows:
-        return 0
-    return kernel.bareiss_rank(_cleared_int_rows(rows))
+    return kernel.bareiss_rank(rows)
 
 
 def pivots_or_relation(rows: Sequence[Sequence[int]]) -> "tuple[bool, list[int]]":

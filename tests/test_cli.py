@@ -282,6 +282,14 @@ def test_exp_slopes_tracks_dichotomy(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_exp_slopes_kmax_cap(capsys):
+    # one row per k: --kmax is held to MAX_POWER_DEGREE, the most rows gcd-sweep accepts
+    assert run(["exp-slopes", "--a", "1", "--b", "3/2", "--kmax", "1000"]) == 0
+    assert capsys.readouterr().out.count("\n1000,") == 1
+    assert run(["exp-slopes", "--a", "1", "--b", "3/2", "--kmax", "1001"]) == 3
+    assert "cap" in capsys.readouterr().err
+
+
 def test_determinism_byte_identical(capsys):
     assert run(SWEEP) == 0
     first = capsys.readouterr().out

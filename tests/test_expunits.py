@@ -224,3 +224,21 @@ def test_parse_quad_caps_the_discriminant():
     for text in ("sqrt1000000000001", "2*sqrt10000000000000061", "1+sqrt" + "9" * 5000):
         with pytest.raises(ParseError, match="cap"):
             parse_quad(text)
+
+
+def test_discriminant_checked_once_per_parsed_term(monkeypatch, capsys):
+    # arithmetic on values already in Q(sqrt d) does not run trial division again
+    from torigcd import expunits
+    from torigcd.cli import run
+
+    checked = []
+    is_squarefree = expunits._is_squarefree
+
+    def counting(n):
+        checked.append(n)
+        return is_squarefree(n)
+
+    monkeypatch.setattr(expunits, "_is_squarefree", counting)
+    assert run(["exp-slopes", "--a", "sqrt2", "--b", "2*sqrt2", "--kmax", "20"]) == 0
+    assert capsys.readouterr().out.count("\n20,") == 1
+    assert checked == [2, 2]

@@ -173,8 +173,7 @@ def test_random_slices_verify():
         assert verify_basis(s).passed
         assert verify_sum_formulas(s).passed
         assert len(s.multipliers) == monomial_count(m - d, n)
-        assert len(s.B1prime_exps) == monomial_count(m - 2 * d, n)
-        assert len(s.multipliers) - len(s.kept) == len(s.B1prime_exps)
+        assert len(s.multipliers) - len(s.kept) == monomial_count(m - 2 * d, n)
 
 
 def polynomial_route(F1, F2, m, order):

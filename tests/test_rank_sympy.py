@@ -4,12 +4,14 @@ The kernel elimination (`kernel.bareiss_rank`) is checked on the shapes the
 package feeds it (sparse monomial shifts of few-term forms, as in a
 Macaulay matrix) and on shapes it must survive: dense rows, planted
 dependent rows, zero rows and columns, wide and tall matrices, coefficients
-of about 200 bits and negative pivots.  `verify_basis` is checked against
-sympy's rank of the slice family B on random cells.
+of about 200 bits, negative pivots, and rows mixing ints and Fractions.
+`verify_basis` is checked against sympy's rank of the slice family B on
+random cells.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +76,38 @@ def test_coefficients_of_200_bits(rows):
 @settings(max_examples=100, deadline=None)
 @given(matrices(st.integers(-9, -1), max_rows=7, max_cols=7))
 def test_negative_pivots(rows):
+    check(rows)
+
+
+rational = st.one_of(
+    st.just(0),
+    small,
+    st.integers(-9, 9).map(Fraction),  # Fraction(k, 1)
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=6, max_cols=8):
+    """Rows mixing ints and Fractions, zero rows and empty matrices included,
+    plus rational combinations of them, shuffled."""
+    ncols = draw(st.integers(0, max_cols))
+    rows = [
+        [0] * ncols if draw(st.booleans()) and draw(st.booleans())
+        else draw(st.lists(rational, min_size=ncols, max_size=ncols))
+        for _ in range(draw(st.integers(0, max_rows)))
+    ]
+    combos = draw(st.lists(st.lists(rational, min_size=len(rows), max_size=len(rows)),
+                           max_size=3 if rows else 0))
+    rows += [[sum(c * row[j] for c, row in zip(cs, rows)) for j in range(ncols)]
+             for cs in combos]
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices())
+def test_rational_rows(rows):
+    # the kernel clears each row's denominators as it reads the row
     check(rows)
 
 
