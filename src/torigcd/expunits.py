@@ -178,6 +178,7 @@ def parse_quad(text: str) -> QuadExt:
         raise ParseError("empty quadratic literal")
     pos = 0
     total = QuadExt.rational(0)
+    roots: "dict[int, QuadExt]" = {}  # sqrt(d) per discriminant, each checked once
     for match in _QUAD_SPLIT.finditer(squeezed):
         if match.start() != pos:
             raise ParseError(f"bad quadratic literal: {text!r}")
@@ -199,7 +200,10 @@ def parse_quad(text: str) -> QuadExt:
                 value = QuadExt(factor * Fraction(term.group("rat")))
             else:
                 coeff = Fraction(term.group("coeff") or 1)
-                value = QuadExt(0, factor * coeff, int(d))
+                d = int(d)
+                if d not in roots:
+                    roots[d] = QuadExt(0, 1, d)
+                value = QuadExt.rational(factor * coeff) * roots[d]
             total = total + value
         except (ValueError, ZeroDivisionError) as exc:
             # non-squarefree discriminant, mixed fields, zero denominator

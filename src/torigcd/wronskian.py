@@ -7,7 +7,9 @@ cell is its numerator times the exact quotient q_i^M / den, with no gcd.
 The determinant scales each column of that polynomial matrix to integer
 coefficients and runs fraction-free (Bareiss) elimination on integer
 polynomials, where every division is exact; the column scales and the
-product of the q_i^M are divided back out in one reduction.
+product of the q_i^M are divided back out in one reduction.  W is built
+once per tuple: a memo of the last tuple serves ordw_check at every place
+of it.
 
 The local checks are exact valuation inequalities at one place:
   ordw_check:  sum_j v+(eta_j) - M(M-1)/2  <=  v+(W(eta))
@@ -17,6 +19,7 @@ The local checks are exact valuation inequalities at one place:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -78,9 +81,17 @@ def _derivative_rows(fs: Sequence[RationalFunction]) -> "list[list[RationalFunct
 
 def wronskian(fs: Sequence[RationalFunction]) -> RationalFunction:
     """W(f_1, ..., f_M); zero exactly when the tuple is linearly dependent."""
-    M = len(fs)
-    if M == 0:
+    if not fs:
         raise ValueError("need at least one function")
+    return _wronskian(tuple(fs))
+
+
+@functools.lru_cache(maxsize=1)
+def _wronskian(fs: "tuple[RationalFunction, ...]") -> RationalFunction:
+    # One tuple only: ordw_check at every place of a tuple builds W once,
+    # and no W outlives the next tuple.  The key compares exactly by value
+    # and W is immutable, so a hit is what a rebuild would return.
+    M = len(fs)
     rows = _derivative_rows(fs)
     # clear column i by q_i^M: every entry d^j f_i has denominator dividing
     # q_i^(j+1) with j+1 <= M, so each cell is a polynomial
@@ -141,7 +152,7 @@ def ordw_check(etas: Sequence[RationalFunction], pl: Place) -> LocalCheckReport:
         if f.is_zero():
             raise ZeroDivisionError("local data of the zero function")
     lhs = sum(_vplus(f, pl) for f in etas) - M * (M - 1) // 2
-    W = wronskian(etas)
+    W = _wronskian(tuple(etas))
     if W.is_zero():
         return LocalCheckReport(
             check="ordw",

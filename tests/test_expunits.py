@@ -242,3 +242,30 @@ def test_discriminant_checked_once_per_parsed_term(monkeypatch, capsys):
     assert run(["exp-slopes", "--a", "sqrt2", "--b", "2*sqrt2", "--kmax", "20"]) == 0
     assert capsys.readouterr().out.count("\n20,") == 1
     assert checked == [2, 2]
+
+
+def test_parse_quad_checks_each_discriminant_once(monkeypatch):
+    # repeated sqrt<d> terms in one literal run trial division once; a bad d
+    # still raises on its first occurrence
+    from torigcd import expunits
+    from torigcd.errors import ParseError
+
+    d = 999999999998
+    expect = [q(0, 1000, d), q(-2, Fraction(3, 2), 2)]
+    checked = []
+    is_squarefree = expunits._is_squarefree
+
+    def counting(n):
+        checked.append(n)
+        return is_squarefree(n)
+
+    monkeypatch.setattr(expunits, "_is_squarefree", counting)
+    assert parse_quad("+".join([f"sqrt{d}"] * 1000)) == expect[0]
+    assert checked == [d]
+    checked.clear()
+    assert parse_quad("sqrt1-3*sqrt1+1/2*sqrt2+sqrt2") == expect[1]
+    assert checked == [1, 2]
+    checked.clear()
+    with pytest.raises(ParseError, match="squarefree"):
+        parse_quad("sqrt2+sqrt12+sqrt12")
+    assert checked == [2, 12]

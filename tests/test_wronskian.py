@@ -1,6 +1,7 @@
 """Wronskians and the two local inequalities of the gcd bound proof."""
 
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -16,7 +17,14 @@ from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
 from torigcd.randgen import random_coprime_pair, random_ratfunc, random_unipoly
 from torigcd.ratfunc import Place, RationalFunction, coprime_basis, place_multiplicity, valuation
 from torigcd.unipoly import UniPoly, format_unipoly, uni_gcd, uni_gcd_list
-from torigcd.wronskian import LocalCheckReport, _poly_det, bs_check, ordw_check, wronskian
+from torigcd.wronskian import (
+    LocalCheckReport,
+    _poly_det,
+    _wronskian,
+    bs_check,
+    ordw_check,
+    wronskian,
+)
 
 
 def rf(text):
@@ -200,6 +208,39 @@ def test_ordw_holds_at_gcd_free_places():
         for b in basis:
             _check_lemma(fs, w, Place.finite(b))
         _check_lemma(fs, w, Place.infinity())
+
+
+def test_ordw_builds_w_once_per_tuple(monkeypatch):
+    # the memo holds the last tuple only: over tuples interleaved A, B, A each
+    # pass builds W once, and every report equals one built with a cold memo
+    assert _wronskian.cache_info().maxsize == 1
+    rng = random.Random(229)
+    tuples = []
+    while len(tuples) < 4:
+        fs = tuple(random_ratfunc(rng, 3, nonzero=True) for _ in range(len(tuples) + 2))
+        w = wronskian(fs)
+        if w.is_zero():
+            continue
+        basis = coprime_basis([p for f in fs for p in (f.num, f.den)] + [w.num, w.den])
+        places = [Place.finite(b) for b in basis]
+        cold = []
+        for pl in places:
+            _wronskian.cache_clear()
+            cold.append(ordw_check(fs, pl).to_json())
+        tuples.append((fs, places, cold))
+
+    builds = []
+
+    def counting(m):
+        builds.append(len(m))
+        return _poly_det(m)
+
+    monkeypatch.setattr(sys.modules["torigcd.wronskian"], "_poly_det", counting)
+    for a, b in zip(tuples, tuples[1:]):
+        for fs, places, cold in (a, b, a):
+            builds.clear()
+            assert [ordw_check(fs, pl).to_json() for pl in places] == cold
+            assert builds == [len(fs)]
 
 
 def test_ordw_truncated_form_can_fail_at_a_pole():
