@@ -48,6 +48,7 @@ from .wronskian import bs_check, ordw_check
 
 PASS, FAIL, REJECTED, USAGE, INTERNAL = 0, 1, 2, 3, 4
 OUTDIR_ENV = "TORIGCD_OUTDIR"
+_HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # CPython 3.10.7+, 3.11+
 
 
 class _UsageError(Exception):
@@ -69,8 +70,11 @@ def _emit(text: str, out: Optional[str], subcommand: str, ext: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
+        try:
+            Path(out).parent.mkdir(parents=True, exist_ok=True)
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise _UsageError(f"{subcommand}: cannot write {out}: {exc}") from exc
 
 
 def _emit_json(payload: dict, seed: int, out: Optional[str], subcommand: str) -> None:
@@ -140,6 +144,12 @@ def _cmd_basis(args) -> int:
 def _cmd_identities(args) -> int:
     if args.n < 1 or args.d < 1 or args.mmax < 4 * args.d:
         raise _UsageError("identities: need --n >= 1, --d >= 1 and --mmax >= 4*d")
+    # one row per m, and n + 1 variables: the row cap of the sweeps and the
+    # variable count a slice of degree 1 allows
+    if args.mmax > MAX_POWER_DEGREE or args.n >= MAX_SLICE_MONOMIALS:
+        raise _UsageError(
+            f"identities: need --mmax <= {MAX_POWER_DEGREE} and --n <= {MAX_SLICE_MONOMIALS - 1}"
+        )
     rep = asymptotic_check(args.n, args.d, args.mmax)
     rows = [
         (r.m, r.c, r.M, r.Mprime, r.res_c, r.res_M, r.res_Mprime) for r in rep.rows
@@ -347,35 +357,25 @@ def _shared_parser() -> _Parser:
 
 
 def run(argv: Sequence[str]) -> int:
+    # exact answers print in full: the interpreter's int-to-str digit limit is
+    # lifted once argparse has read the integer options, and the parsers cap
+    # every numeral they convert
+    digit_limit = sys.get_int_max_str_digits() if _HAS_DIGIT_LIMIT else 0
     try:
         args = _shared_parser().parse_args(list(argv))
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return USAGE
+        if _HAS_DIGIT_LIMIT:
+            sys.set_int_max_str_digits(0)
+        return args.func(args)
     except SystemExit as exc:  # --help and friends
         return PASS if exc.code in (0, None) else USAGE
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE
-    except HypothesisError as exc:
-        payload = {
-            "seed": getattr(args, "seed", 0),
-            "rejected": str(exc),
-            "certificate": exc.certificate,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return REJECTED
-    except (ZeroDivisionError, ValueError) as exc:
-        payload = {
-            "seed": getattr(args, "seed", 0),
-            "rejected": str(exc),
-            "certificate": {},
-        }
+    except HypothesisError as exc:  # raised by a subcommand, so args is set
+        payload = {"seed": args.seed, "rejected": str(exc), "certificate": exc.certificate}
         print(json.dumps(payload, indent=2, sort_keys=True))
         return REJECTED
     except Exception as exc:
@@ -384,6 +384,9 @@ def run(argv: Sequence[str]) -> int:
         suffix = f": {detail}" if detail else ""
         print(f"internal error: {type(exc).__name__}{suffix}", file=sys.stderr)
         return INTERNAL
+    finally:
+        if _HAS_DIGIT_LIMIT:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 def main() -> None:

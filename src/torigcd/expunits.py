@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import ParseError
+from .errors import HypothesisError, ParseError
+from .parsing import check_numeral
 
 
 def _is_squarefree(n: int) -> bool:
@@ -38,7 +39,7 @@ class QuadExt:
 
     Rational values normalize to d = 1 and b = 0, so structural equality is
     value equality.  Mixing two genuinely irrational values from different
-    fields is an error.
+    fields raises HypothesisError: the frequencies must share one field.
     """
 
     a: Fraction
@@ -86,7 +87,9 @@ class QuadExt:
             return other.d
         if other.b == 0 or other.d == self.d:
             return self.d
-        raise ValueError("values live in different quadratic fields")
+        raise HypothesisError(
+            "values live in different quadratic fields", {"discriminants": [self.d, other.d]}
+        )
 
     def __add__(self, other: "QuadExt") -> "QuadExt":
         d = self._join(other)
@@ -194,6 +197,8 @@ def parse_quad(text: str) -> QuadExt:
             raise ParseError(
                 f"discriminant in {chunk!r} exceeds the cap {MAX_QUAD_DISCRIMINANT}"
             )
+        for numeral in re.findall(r"\d+", chunk):
+            check_numeral(numeral)
         factor = Fraction(-1 if sign == "-" else 1)
         try:
             if term.group("rat") is not None:
@@ -241,7 +246,7 @@ def exp_ngcd_slope(a: QuadExt, b: QuadExt, k: int) -> QuadExt:
     since the two zero lattices intersect in (2 pi i q / (ka)) Z.
     """
     if a.is_zero() or b.is_zero():
-        raise ZeroDivisionError("zero frequency")
+        raise HypothesisError("zero frequency", {"a": str(a), "b": str(b)})
     if k < 1:
         raise ValueError("k must be positive")
     ratio = b / a

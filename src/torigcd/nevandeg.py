@@ -181,9 +181,9 @@ def mult_independent(gs: Sequence[RationalFunction]) -> IndependenceCertificate:
     span of the rows before it exhibits the constant power product.
     """
     n = len(gs)
-    for g in gs:
+    for i, g in enumerate(gs):
         if g.is_zero():
-            raise ZeroDivisionError("independence of the zero function")
+            raise HypothesisError("independence of the zero function", {"index": i, "g": "0"})
     basis = coprime_basis([p for g in gs for p in (g.num, g.den)])
     rows = []
     for g in gs:

@@ -13,6 +13,7 @@ from typing import Sequence, Tuple
 
 from .errors import ParseError
 from .multipoly import MultiPoly
+from .parsing import check_numeral
 
 Exponent = Tuple[int, ...]
 
@@ -104,8 +105,11 @@ def parse_order(text: str, nvars: "int | None" = None) -> MonomialOrder:
     if text == "lex":
         return LEX
     if text.startswith("weight:"):
+        parts = text[len("weight:") :].split(",")
+        for part in parts:
+            check_numeral(part)
         try:
-            u = [int(part) for part in text[len("weight:") :].split(",")]
+            u = [int(part) for part in parts]
         except ValueError as exc:
             raise ParseError(f"bad weight vector in {text!r}") from exc
         try:

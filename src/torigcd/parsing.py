@@ -12,9 +12,12 @@ its base would exceed MAX_COEFF_BITS, and so is a multivariate power or
 product whose term count could exceed MAX_POWER_TERMS, and so is a power
 whose term bound times exponent times coefficient bits would exceed
 MAX_POWER_SIZE.  An integer literal of more than MAX_COEFF_BITS bits is
-rejected before it is converted, and so is a variable index that long.
-MAX_SLICE_MONOMIALS, the largest slice the `basis` and `bs-check`
-subcommands accept, sits here with the other caps.
+rejected before it is converted, and so is a variable index that long;
+check_numeral holds the numerals of the other grammars (rationals, quadratic
+literals, weight vectors) to the same digit count.  Parentheses nest at most
+MAX_NESTING deep, and a run of signs is read in a loop, so no input recurses
+past the interpreter's stack.  MAX_SLICE_MONOMIALS, the largest slice the
+`basis` and `bs-check` subcommands accept, sits here with the other caps.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ MAX_POWER_SIZE = 3 * 10**6
 # largest graded slice `basis` and `bs-check` build: C(m+n, n) monomials of
 # degree m in n+1 variables, the column count of the slice's rank matrices
 MAX_SLICE_MONOMIALS = 1000
+# deepest parenthesis nesting: each level takes five parser frames
+MAX_NESTING = 100
 
 # a literal with more digits than this is at least 10^_MAX_DIGITS > 2^MAX_COEFF_BITS
 _MAX_DIGITS = math.floor(MAX_COEFF_BITS * math.log10(2)) + 1
@@ -71,6 +76,16 @@ def _int_literal(tok: str) -> int:
     return n
 
 
+def check_numeral(numeral: str) -> None:
+    """Reject a numeral of more than _MAX_DIGITS digits, leading zeros aside,
+    before it is converted: the CLI lifts the interpreter's own digit limit."""
+    digits = "".join(re.findall(r"\d", numeral)).lstrip("0")
+    if len(digits) > _MAX_DIGITS:
+        raise ParseError(
+            f"numeral of {len(digits)} digits exceeds the cap of {_MAX_DIGITS} digits"
+        )
+
+
 def _bits(values) -> int:
     """Largest bit length among the numerators and denominators of rationals."""
     return max(
@@ -85,6 +100,7 @@ class _Parser:
     def __init__(self, tokens, algebra):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.alg = algebra
 
     def peek(self):
@@ -120,13 +136,11 @@ class _Parser:
         return value
 
     def unary(self):
-        if self.peek() == "-":
-            self.take()
-            return -self.unary()
-        if self.peek() == "+":
-            self.take()
-            return self.unary()
-        return self.power()
+        negate = False
+        while self.peek() in ("+", "-"):
+            negate ^= self.take() == "-"
+        value = self.power()
+        return -value if negate else value
 
     def power(self):
         value = self.atom()
@@ -167,9 +181,13 @@ class _Parser:
         if tok.isdigit():
             return self.alg.const(Fraction(_int_literal(tok)))
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the cap {MAX_NESTING}")
             value = self.expr()
             if self.take() != ")":
                 raise ParseError("expected closing parenthesis")
+            self.depth -= 1
             return value
         if tok == ")":
             raise ParseError("unbalanced closing parenthesis")
@@ -318,7 +336,8 @@ def parse_rational(text: str) -> Fraction:
 
     A decimal exponent (1e-3) is rejected when its power of ten alone has
     more than MAX_COEFF_BITS bits, so 1e999999999 fails at once instead of
-    building a billion-digit integer.
+    building a billion-digit integer; a longer numerator or denominator than
+    check_numeral allows fails the same way.
     """
     exponent = re.search(r"[eE][-+]?([\d_]+)", text)
     if exponent:
@@ -327,6 +346,8 @@ def parse_rational(text: str) -> Fraction:
             raise ParseError(
                 f"exponent in {text!r} exceeds the coefficient cap of {MAX_COEFF_BITS} bits"
             )
+    for numeral in re.split(r"[/eE]", text):
+        check_numeral(numeral)
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

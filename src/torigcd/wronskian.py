@@ -148,9 +148,9 @@ def ordw_check(etas: Sequence[RationalFunction], pl: Place) -> LocalCheckReport:
     M = len(etas)
     if M == 0:
         raise ValueError("need at least one function")
-    for f in etas:
+    for j, f in enumerate(etas):
         if f.is_zero():
-            raise ZeroDivisionError("local data of the zero function")
+            raise HypothesisError("local data of the zero function", {"index": j, "eta": "0"})
     lhs = sum(_vplus(f, pl) for f in etas) - M * (M - 1) // 2
     W = _wronskian(tuple(etas))
     if W.is_zero():

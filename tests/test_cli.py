@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: exit codes, headers, determinism, corpus runs."""
 
+import contextlib
+import io
 import json
 import pathlib
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torigcd import cli
 from torigcd.cli import run
-from torigcd.parsing import MAX_SLICE_MONOMIALS
+from torigcd.parsing import MAX_NESTING, MAX_POWER_DEGREE, MAX_SLICE_MONOMIALS
 
 BASIS = ["basis", "--F1", "x0", "--F2", "x1", "--m", "2", "--order", "lex"]
 SWEEP = [
@@ -162,7 +167,12 @@ def test_identities_degree_two_fails(capsys):
 
 @pytest.mark.parametrize(
     "nd_mmax",
-    [("1", "1", "3"), ("0", "1", "8"), ("-1", "1", "8"), ("2", "0", "8"), ("2", "2", "7")],
+    [
+        ("1", "1", "3"), ("0", "1", "8"), ("-1", "1", "8"), ("2", "0", "8"), ("2", "2", "7"),
+        # one row per m, and n + 1 variables, within the slice cap at degree 1
+        (str(MAX_SLICE_MONOMIALS), "1", "8"), ("2000", "1", "8"),
+        ("2", "1", str(MAX_POWER_DEGREE + 1)),
+    ],
 )
 def test_identities_bad_range_is_usage_error(nd_mmax, capsys):
     n, d, mmax = nd_mmax
@@ -175,6 +185,8 @@ def test_identities_bad_range_is_usage_error(nd_mmax, capsys):
 def test_identities_accepts_mmax_at_four_d(capsys):
     assert run(["identities", "--n", "1", "--d", "2", "--mmax", "8"]) == 0
     assert capsys.readouterr().out.startswith("# seed=0\n")
+    assert run(["identities", "--n", str(MAX_SLICE_MONOMIALS - 1), "--d", "1", "--mmax", "4"]) == 0
+    assert "\n4," in capsys.readouterr().out
 
 
 def test_sweep_full_run(capsys):
@@ -311,6 +323,17 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert json.loads(target.read_text())["constants"]["M"] == 3
 
 
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for target in (blocker / "report.json", blocker / "nested" / "report.json", tmp_path):
+        assert run(BASIS + ["--out", str(target)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"basis: cannot write {target}: ")
+        assert captured.err.count("\n") == 1
+
+
 def test_outdir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TORIGCD_OUTDIR", str(tmp_path))
     assert run(["indep", "--g", "z", "--g", "z+1"]) == 0
@@ -401,7 +424,120 @@ def test_internal_fault_exits_4(capsys, monkeypatch):
     monkeypatch.setattr(cli, "mult_independent", bare_fault)
     assert run(["indep", "--g", "z"]) == 4
     assert capsys.readouterr().err == "internal error: AssertionError\n"
-    # the mapped exceptions keep their codes
+    # only HypothesisError is a rejection: a bare ZeroDivisionError is a fault
     monkeypatch.setattr(cli, "mult_independent", lambda _: 1 / 0)
-    assert run(["indep", "--g", "z"]) == 2
+    assert run(["indep", "--g", "z"]) == 4
+    assert capsys.readouterr().err == "internal error: ZeroDivisionError: division by zero\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["indep", "--g", "0"],
+        ["gcd-sweep", "--F", "x1-1", "--G", "x2-1", "--g", "0", "--g", "z"],
+        ["wronskian-check", "--eta", "0", "--eta", "z", "--place", "z"],
+        ["exp-slopes", "--a", "0", "--b", "1", "--kmax", "2"],
+        ["exp-slopes", "--a", "sqrt2", "--b", "sqrt3", "--kmax", "2"],
+    ],
+)
+def test_broken_hypotheses_are_rejected_with_certificates(argv, capsys):
+    # a zero function, a zero frequency and mixed quadratic fields are
+    # hypotheses of the theorems, rejected as such
+    assert run(argv) == 2
+    payload = _json_out(capsys)
+    assert payload["rejected"] and payload["certificate"]
+
+
+def test_deep_nesting_is_parse_error(capsys):
+    deep = "(" * MAX_NESTING + "z" + ")" * MAX_NESTING
+    assert run(["indep", "--g", deep]) == 0
     capsys.readouterr()
+    for text in ("(" + deep + ")", "(" * 200 + "z" + ")" * 200):
+        assert run(["indep", "--g", text]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "nest deeper than the cap" in captured.err
+    assert run(["indep", "--g=" + "-" * 1000 + "z"]) == 0
+    assert _json_out(capsys)["independent"]
+
+
+def test_exact_answers_print_in_full(capsys):
+    # W(N z, N z^2) = N^2 z^2: 5999 digits, past the interpreter's default
+    # int-to-str limit, which run lifts for the subcommand only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    N = "1" + "0" * 2999
+    assert run(["wronskian-check", "--eta", f"{N}*z", "--eta", f"{N}*z^2", "--place", "z"]) == 0
+    payload = _json_out(capsys)
+    assert payload["info"]["wronskian"] == "1" + "0" * 5998 + "*z^2"
+    assert payload["passed"]
+    for argv in (["indep", "--g", "z+"], ["indep", "--g", "0"], ["identities"]):
+        run(argv)
+    capsys.readouterr()
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
+# the grammar's tokens, joined by spaces so that digits never run together:
+# a soup's exponents and integers stay at most 4
+_TOKENS = [
+    "z", "x0", "x1", "x2", "x3", "0", "1", "2", "3", "4",
+    "+", "-", "*", "/", "^", "(", ")", "sqrt2", "inf", "lex", "weight:1,2", "",
+]
+_SOUP = st.lists(st.sampled_from(_TOKENS), max_size=6).map(" ".join)
+
+# each subcommand's flags with typical values; corpus, which replays recorded
+# invocations through run, is left out
+_INT = ("2", "1", "3", "4", "0", "-1")
+_UNI = ("z", "z+1", "z^2-1", "2*z-2", "1/z", "0", "inf")
+_HOMOGENEOUS = ("x0", "x1", "x0+x1", "x0-2*x1", "x0*x1", "x0^2+x1^2", "x1-x2")
+_SWEEP = ("x1-1", "x2-1", "x1+x2", "x1*x2-1", "x1^2-x2", "0")
+_QUAD = ("sqrt2", "1", "sqrt3", "3/2", "0", "2*sqrt2", "1+sqrt3")
+_FLAGS = {
+    "basis": {"--F1": _HOMOGENEOUS, "--F2": _HOMOGENEOUS, "--m": _INT, "--order": ("lex", "weight:1,2")},
+    "identities": {"--n": _INT, "--d": _INT, "--mmax": ("8", "4", "12", "3")},
+    "gcd-sweep": {
+        "--F": _SWEEP, "--G": _SWEEP, "--g": _UNI, "--kmin": _INT, "--kmax": _INT,
+        "--kstep": _INT, "--epsilon": ("1/10", "1/2", "0"), "--track": ("n", "t"),
+    },
+    "indep": {"--g": _UNI},
+    "wronskian-check": {"--eta": _UNI, "--place": _UNI},
+    "bs-check": {"--F": _HOMOGENEOUS, "--G": _HOMOGENEOUS, "--m": _INT, "--g": _UNI, "--place": _UNI},
+    "exp-slopes": {"--a": _QUAD, "--b": _QUAD, "--kmax": _INT},
+}
+
+
+@st.composite
+def _argv_soup(draw):
+    """A subcommand with each flag given once or twice at typical values,
+    then one kind of noise: none, one or two values swapped for token soup,
+    a flag left out, or a stray positional.  gcd-sweep's default --kmax of
+    60 is held to 2 unless a flag sets it, so every draw stays small."""
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    pairs = [
+        [flag, value]
+        for flag, typical in _FLAGS[command].items()
+        for value in draw(st.lists(st.sampled_from(typical), min_size=1, max_size=2))
+    ]
+    noise = draw(st.sampled_from(["none", "soup", "soup", "two soups", "left out", "stray"]))
+    for _ in range({"soup": 1, "two soups": 2}.get(noise, 0)):
+        pairs[draw(st.integers(0, len(pairs) - 1))][1] = draw(_SOUP)
+    if noise == "left out":
+        gone = draw(st.sampled_from(sorted(_FLAGS[command])))
+        pairs = [pair for pair in pairs if pair[0] != gone]
+    argv = [command] + (["--kmax=2"] if command == "gcd-sweep" else [])
+    argv += [f"{flag}={value}" for flag, value in pairs]
+    return argv + ([draw(_SOUP)] if noise == "stray" else [])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_argv_soup())
+def test_cli_soup_never_faults(argv):
+    """Every exception the subcommands raise on bad input is a usage error,
+    a parse error or a hypothesis rejection: no exit 4."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert not err.getvalue().startswith("internal error"), argv
+    if code == 2:
+        payload = json.loads(out.getvalue())
+        assert "rejected" in payload and "certificate" in payload

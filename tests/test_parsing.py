@@ -1,5 +1,6 @@
 """Grammar coverage: precedence, rejection cases, round trips."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,9 +12,11 @@ from torigcd.expunits import parse_quad
 from torigcd.ordering import parse_order
 from torigcd.parsing import (
     MAX_COEFF_BITS,
+    MAX_NESTING,
     MAX_POWER_DEGREE,
     MAX_POWER_SIZE,
     MAX_POWER_TERMS,
+    _MAX_DIGITS,
     infer_homogeneous_nvars,
     parse_multipoly,
     parse_place,
@@ -98,6 +101,20 @@ def test_unary_signs():
     assert parse_unipoly("-z+-1") == parse_unipoly("-(z+1)")
     assert parse_unipoly("+z") == parse_unipoly("z")
     assert parse_unipoly("--z") == parse_unipoly("z")
+    # a run of signs is read in a loop: no recursion, and parity decides
+    assert parse_ratfunc("-" * 1000 + "z") == parse_ratfunc("z")
+    assert parse_ratfunc("-" * 1001 + "z") == parse_ratfunc("-z")
+    assert parse_ratfunc("+-" * 500 + "z^2") == parse_ratfunc("z^2")
+    assert parse_ratfunc("-z^2") == -parse_ratfunc("z^2")
+
+
+def test_nesting_cap():
+    deep = "(" * MAX_NESTING + "z" + ")" * MAX_NESTING
+    assert parse_ratfunc(deep) == parse_ratfunc("z")
+    assert parse_multipoly(deep.replace("z", "x0"), 1) == parse_multipoly("x0", 1)
+    for text in ("(" + deep + ")", "(" * 200 + "z" + ")" * 200):
+        with pytest.raises(ParseError, match="nest"):
+            parse_ratfunc(text)
 
 
 def test_infer_homogeneous_nvars():
@@ -242,6 +259,37 @@ def test_rational_exponent_cap():
     for text in ("1e3011", "1E-3011", "1e999999999", "2.5e1_000_000"):
         with pytest.raises(ParseError, match="coefficient cap"):
             parse_rational(text)
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift the interpreter's int-to-str digit limit, as the CLI does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_numeral_digit_caps(no_int_digit_limit):
+    at_cap, past_cap = "9" * _MAX_DIGITS, "1" + "0" * _MAX_DIGITS
+    assert parse_rational(at_cap) == int(at_cap)
+    assert parse_rational(f"1/{at_cap}") == Fraction(1, int(at_cap))
+    assert parse_rational("0" * 5000 + "7") == 7  # leading zeros aside
+    assert parse_quad(f"{at_cap}*sqrt2").b == int(at_cap)
+    assert parse_quad(f"1/{at_cap}").a == Fraction(1, int(at_cap))
+    assert parse_order(f"weight:{at_cap},1").u == (int(at_cap), 1)
+    for parse, text in (
+        (parse_rational, past_cap),
+        (parse_rational, f"1/{past_cap}"),
+        (parse_rational, f"{past_cap}.5"),
+        (parse_quad, past_cap),
+        (parse_quad, f"1/{past_cap}*sqrt2"),
+        (parse_order, f"weight:1,{past_cap}"),
+    ):
+        with pytest.raises(ParseError, match="digits exceeds the cap"):
+            parse(text)
 
 
 # pieces of every grammar the parsers read, hostile sizes included
