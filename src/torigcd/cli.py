@@ -190,12 +190,15 @@ def _cmd_gcd_sweep(args) -> int:
     F = parse_multipoly(args.F, nvars, first_index=1)
     G = parse_multipoly(args.G, nvars, first_index=1)
     gs = tuple(parse_ratfunc(g) for g in args.g)
-    # the sweep builds g^kmax for every base: the powers the parser caps
-    top = max(max(g.num.degree, g.den.degree, 1) for g in gs)
+    # the sweep builds g^kmax for every base and P(g^k) for P = F, G, whose
+    # degree is at most k * sum_i deg_{x_i} P * deg g_i: the powers the parser caps
+    slopes = [max(g.num.degree, g.den.degree) for g in gs]
+    composed = [sum(P.degree_in(i) * s for i, s in enumerate(slopes)) for P in (F, G)]
+    top = max(1, *slopes, *composed)
     if args.kmax * top > MAX_POWER_DEGREE:
         raise _UsageError(
-            f"gcd-sweep: --kmax {args.kmax} on a base of degree {top} exceeds"
-            f" the degree cap {MAX_POWER_DEGREE}"
+            f"gcd-sweep: --kmax {args.kmax} times {top}, the degree per step of g^k,"
+            f" F(g^k) and G(g^k), exceeds the degree cap {MAX_POWER_DEGREE}"
         )
     cfg = SweepConfig(
         F=F,

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from operator import add, sub
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from . import kernel
 from .kernel.intpoly_py import _heu_points, _interpolate
@@ -33,6 +33,7 @@ from .unipoly import _canon as _canon_unipoly
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
 IntMap = Dict[Exponent, int]
+Terms = List[Tuple[Exponent, int]]  # each term's exponent with its value at a point
 
 
 class MultiPoly:
@@ -518,9 +519,9 @@ def _heu_gcd(a: IntMap, b: IntMap) -> IntMap:
     v = max(axes)
     if len(axes) == 1:
         ones = [1] * len(zero)
-        h = kernel.gcd(_restriction(a, v, ones), _restriction(b, v, ones))
+        h = kernel.gcd(*(_restriction(_evaluated(p, ones), v, 1) for p in (a, b)))
         return {_lift(zero, v, j): c * x for j, x in enumerate(h) if x}
-    if all(_free_of(a, b, w) for w in axes_a & axes_b):
+    if _free_of(a, b, axes_a & axes_b):
         return {zero: c}
     a = {e: x // ca for e, x in a.items()}
     b = {e: x // cb for e, x in b.items()}
@@ -538,32 +539,51 @@ def _heu_gcd(a: IntMap, b: IntMap) -> IntMap:
             return {e: c * y for e, y in h.items()}
 
 
-def _free_of(a: IntMap, b: IntMap, axis: int) -> bool:
-    """True only if gcd(a, b) is free of the variable in slot axis.
+def _free_of(a: IntMap, b: IntMap, axes: "set[int]") -> bool:
+    """True only if gcd(a, b) is free of every variable in axes.
 
-    The other variables are set to 1, then to -1, then slot w to w + 2.
-    Where the leading coefficient of a or b in that variable survives, so does
-    that of the gcd H, which divides it; H's image then divides both
-    restrictions, so coprime restrictions prove deg H = 0.  At 1 and -1 the
-    coefficients stay as small as the inputs' whatever the degrees.
+    For each variable the others are set to 1, then to -1, then slot w to
+    w + 2.  Where the leading coefficient of a or b in that variable survives,
+    so does that of the gcd H, which divides it; H's image then divides both
+    restrictions, so coprime restrictions prove deg H = 0 there.  At 1 and -1
+    the coefficients stay as small as the inputs' whatever the degrees.  Each
+    input is evaluated at most once per point, for all variables together.
     """
     n = len(next(iter(a)))
-    for t in range(3):
-        point = [1 if w == axis else (1, -1, w + 2)[t] for w in range(n)]
-        fa, fb = _restriction(a, axis, point), _restriction(b, axis, point)
-        if fa[-1] or fb[-1]:
-            if len(kernel.gcd(kernel.normalize(fa), kernel.normalize(fb))) == 1:
-                return True
-    return False
+    images: "dict[int, tuple[list[int], Terms, Terms]]" = {}
+
+    def coprime(w: int, t: int) -> bool:
+        if t not in images:
+            point = [(1, -1, u + 2)[t] for u in range(n)]
+            images[t] = point, _evaluated(a, point), _evaluated(b, point)
+        point, va, vb = images[t]
+        fa, fb = _restriction(va, w, point[w]), _restriction(vb, w, point[w])
+        if not (fa[-1] or fb[-1]):
+            return False
+        return len(kernel.gcd(kernel.normalize(fa), kernel.normalize(fb))) == 1
+
+    return all(any(coprime(w, t) for t in range(3)) for w in axes)
 
 
-def _restriction(a: IntMap, axis: int, point: "list[int]") -> "list[int]":
-    """The kernel list in slot axis of a at point, whose slot axis is 1."""
-    out = [0] * (max(e[axis] for e in a) + 1)
+def _evaluated(a: IntMap, point: "list[int]") -> Terms:
+    """Each term's exponent with its value at point."""
+    out = []
     for e, c in a.items():
         for x, k in zip(point, e):
-            c *= x**k
-        out[e[axis]] += c
+            if k:
+                c *= x**k
+        out.append((e, c))
+    return out
+
+
+def _restriction(terms: Terms, axis: int, x: int) -> "list[int]":
+    """The kernel list in slot axis of terms evaluated with x in that slot.
+
+    Each value is divided by its factor x^e[axis], exactly, as x is nonzero.
+    """
+    out = [0] * (max(e[axis] for e, _ in terms) + 1)
+    for e, c in terms:
+        out[e[axis]] += c // x ** e[axis]
     return out
 
 

@@ -41,25 +41,23 @@ def char_slope(f: RationalFunction) -> int:
     return max(f.num.degree, f.den.degree)
 
 
-def _reduced_rep(fs: Sequence[RationalFunction], include_one: bool) -> "list[UniPoly]":
-    """Clear denominators by their lcm, then divide out the overall gcd."""
+def _cleared(fs: Sequence[RationalFunction]) -> Tuple[UniPoly, List[UniPoly]]:
+    """The lcm L of the denominators and the nonzero numerators f*L."""
     den = ONE
     for f in fs:
         den = uni_lcm(den, f.den)
-    entries = [den] if include_one else []
-    for f in fs:
-        entries.append(f.num * exact_div(den, f.den))
-    nonzero = [e for e in entries if not e.is_zero()]
-    if not nonzero:
-        raise ZeroDivisionError("no nonzero coordinate in the representation")
-    g = uni_gcd_list(nonzero)
-    return [exact_div(e, g) if not e.is_zero() else e for e in entries]
+    return den, [f.num * exact_div(den, f.den) for f in fs if not f.is_zero()]
+
+
+def _rep_slope(entries: Sequence[UniPoly]) -> int:
+    """Degree of the reduced representation: deg(e/h) = deg e - deg h, h the gcd."""
+    return max(e.degree for e in entries) - uni_gcd_list(entries).degree
 
 
 def map_char_slope(gs: Sequence[RationalFunction]) -> int:
     """Characteristic slope of the map [1 : g1 : ... : gn]."""
-    rep = _reduced_rep(gs, include_one=True)
-    return max(e.degree for e in rep if not e.is_zero())
+    den, nums = _cleared(gs)
+    return _rep_slope([den, *nums])
 
 
 def ngcd_slope(f: RationalFunction, g: RationalFunction) -> int:
@@ -84,9 +82,8 @@ def tgcd_slope(f: RationalFunction, g: RationalFunction) -> int:
     """Slope of T_[1:f:g] - T_[f:g], the gcd characteristic."""
     if f.is_zero() and g.is_zero():
         raise ZeroDivisionError("gcd characteristic of the zero pair")
-    with_one = max(e.degree for e in _reduced_rep((f, g), True) if not e.is_zero())
-    without = max(e.degree for e in _reduced_rep((f, g), False) if not e.is_zero())
-    return with_one - without
+    den, nums = _cleared((f, g))
+    return _rep_slope([den, *nums]) - _rep_slope(nums)
 
 
 @dataclass(frozen=True)
@@ -185,29 +182,17 @@ def mult_independent(gs: Sequence[RationalFunction]) -> IndependenceCertificate:
         if g.is_zero():
             raise HypothesisError("independence of the zero function", {"index": i, "g": "0"})
     basis = coprime_basis([p for g in gs for p in (g.num, g.den)])
-    rows = []
-    for g in gs:
-        finite, at_inf = divisor_exponents(g, basis)
-        rows.append(tuple(finite) + (at_inf,))
+    rows = [divisor_vector(g, basis).exponents for g in gs]
     independent, found = linalg.pivots_or_relation(rows)
-    if independent:
-        return IndependenceCertificate(
-            independent=True,
-            n=n,
-            basis=basis,
-            matrix=tuple(rows),
-            pivot_columns=tuple(found),
-            witness=None,
-        )
-    if not _witness_is_constant(gs, found):
+    if not independent and not _witness_is_constant(gs, found):
         raise AssertionError("dependence witness failed verification")
     return IndependenceCertificate(
-        independent=False,
+        independent=independent,
         n=n,
         basis=basis,
         matrix=tuple(rows),
-        pivot_columns=(),
-        witness=tuple(found),
+        pivot_columns=tuple(found) if independent else (),
+        witness=None if independent else tuple(found),
     )
 
 
@@ -313,23 +298,15 @@ def _run_sweep(cfg: SweepConfig, track: str) -> SweepResult:
         scale = k * scale_unit
         rows.append(SweepRow(k=k, gcd_degree=deg, scale=scale, ratio=Fraction(deg, scale)))
     first_below = next((r.k for r in rows if r.ratio < cfg.epsilon), None)
-    stays_below = False
+    # threshold_k starts the final run of ratios below epsilon; the ratios
+    # stay below from first_below on exactly when that run starts there
     threshold_k = None
-    if first_below is not None:
-        tail = [r for r in rows if r.k >= first_below]
-        stays_below = all(r.ratio < cfg.epsilon for r in tail)
-        above = [i for i, r in enumerate(rows) if r.ratio >= cfg.epsilon]
-        nxt = above[-1] + 1 if above else 0
-        if nxt < len(rows):
-            threshold_k = rows[nxt].k
-    return SweepResult(
-        track=track,
-        rows=tuple(rows),
-        epsilon=cfg.epsilon,
-        first_below=first_below,
-        stays_below=stays_below,
-        threshold_k=threshold_k,
-    )
+    for r in reversed(rows):
+        if r.ratio >= cfg.epsilon:
+            break
+        threshold_k = r.k
+    stays_below = first_below is not None and threshold_k == first_below
+    return SweepResult(track, tuple(rows), cfg.epsilon, first_below, stays_below, threshold_k)
 
 
 def gcd_sweep(cfg: SweepConfig) -> SweepResult:

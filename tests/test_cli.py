@@ -122,6 +122,19 @@ def test_sweep_kmax_degree_cap(capsys):
     assert "\n1000,0,1000,0\n" in capsys.readouterr().out
 
 
+def test_sweep_composed_degree_cap(capsys):
+    # F(g^k) has degree up to k * sum_i deg_{x_i} F * deg g_i, here 500 * k
+    composed = ["gcd-sweep", "--F", "x1^100-2", "--G", "x2-1", "--g", "z^5", "--g", "z+1"]
+    assert run(composed + ["--kmax", "2"]) == 0
+    assert capsys.readouterr().out.count("# summary") == 1
+    assert run(composed + ["--kmax", "3"]) == 3
+    assert "degree cap" in capsys.readouterr().err
+    # degree 444 * 444 per step; this ran for 18 to 28 s before the cap
+    assert run(["gcd-sweep", "--F", "x1^444", "--G", "x2-1", "--g", "z^444", "--g", "z+1",
+                "--kmax", "2"]) == 3
+    assert "degree cap" in capsys.readouterr().err
+
+
 def test_usage_errors():
     assert run(["no-such-command"]) == 3
     assert run(["basis", "--F1", "x0"]) == 3  # missing required

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torigcd import multipoly
 from torigcd.multipoly import (
     MultiPoly,
     _free_of,
@@ -252,8 +253,29 @@ def test_coprime_when_every_small_point_shares_a_root():
     # G(t, t) = (t-1)(t+1)(t-3), so at x2 = 1, -1 and 3 both restrictions
     # to x1 vanish at x1 = x2; GCDHEU decides the pair instead
     F, G = mp("x1-x2", 2, first_index=1), mp("x1^3-3*x1^2-x2+3", 2, first_index=1)
-    assert not _free_of(F.ints, G.ints, 0)
+    assert not _free_of(F.ints, G.ints, {0})
     assert coprime_multivariate(F, G)
+
+
+def test_free_of_evaluates_each_input_once_per_point(monkeypatch):
+    # at all ones every restriction pair is (x, x^2), at all minus ones it is
+    # (x - 78, x^2): each of the 40 variables needs the second point
+    names = [f"x{i}" for i in range(40)]
+    F = mp("+".join(names) + "-39", 40)
+    G = mp("+".join(n + "^2" for n in names) + "-39", 40)
+    seen = []
+    evaluated = multipoly._evaluated
+
+    def counted(a, point):
+        seen.append(a)
+        return evaluated(a, point)
+
+    monkeypatch.setattr(multipoly, "_evaluated", counted)
+    assert _free_of(F.ints, G.ints, set(range(40)))
+    assert seen == [F.ints, G.ints] * 2
+    seen.clear()
+    assert coprime_multivariate(F, G)
+    assert 0 < seen.count(F.ints) <= 3 and 0 < seen.count(G.ints) <= 3
 
 
 def test_mv_gcd_of_high_degree_pair_with_one_variable_factor():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from torigcd import nevandeg
 from torigcd.errors import HypothesisError
 from torigcd.nevandeg import (
     SweepConfig,
@@ -23,7 +24,15 @@ from torigcd.nevandeg import (
 from torigcd.multipoly import substitute
 from torigcd.parsing import parse_multipoly, parse_ratfunc, parse_unipoly
 from torigcd.randgen import random_ratfunc
-from torigcd.ratfunc import INFINITY, Place, RationalFunction, coprime_basis, valuation
+from torigcd.ratfunc import (
+    INFINITY,
+    Place,
+    RationalFunction,
+    coprime_basis,
+    divisor_exponents,
+    valuation,
+)
+from torigcd.unipoly import ONE, exact_div, uni_gcd_list, uni_lcm
 
 
 def rf(text):
@@ -353,3 +362,94 @@ def test_mgcd_at_infinity_via_valuation():
     f, g = rf("1/z"), rf("(z+2)/z^3")
     assert valuation(f, INFINITY) == 1 and valuation(g, INFINITY) == 2
     assert mgcd_slope(f, g) == 1
+
+
+def _reduced_rep(fs, include_one):
+    """Reference: clear denominators by their lcm, then divide out the gcd."""
+    den = ONE
+    for f in fs:
+        den = uni_lcm(den, f.den)
+    entries = [den] if include_one else []
+    for f in fs:
+        entries.append(f.num * exact_div(den, f.den))
+    nonzero = [e for e in entries if not e.is_zero()]
+    g = uni_gcd_list(nonzero)
+    return [exact_div(e, g) for e in nonzero]
+
+
+_FACTORS = [parse_unipoly(t) for t in ("z", "z-1", "z+2", "z^2+1", "2*z+3")]
+
+
+def _factored(rng, most):
+    p = parse_unipoly(str(rng.choice([-3, -2, -1, 1, 2, 3])))
+    for q in rng.sample(_FACTORS, rng.randint(0, most)):
+        p = p * q ** rng.randint(1, 3)  # repeated roots
+    return p
+
+
+def _tuple_member(rng, shared_den):
+    roll = rng.random()
+    if roll < 0.15:
+        return RationalFunction.constant(0)
+    if roll < 0.4:
+        den = ONE
+    elif roll < 0.7:
+        den = shared_den
+    else:
+        den = _factored(rng, 2)
+    return RationalFunction(_factored(rng, 3), den)
+
+
+def test_slopes_match_the_reduced_representation():
+    rng = random.Random(151)
+    for _ in range(500):
+        shared = _factored(rng, 2)
+        fs = [_tuple_member(rng, shared) for _ in range(rng.randint(1, 4))]
+        rep = _reduced_rep(fs, True)
+        assert map_char_slope(fs) == max(e.degree for e in rep)
+        f, g = fs[0], _tuple_member(rng, shared)
+        if not (f.is_zero() and g.is_zero()):
+            with_one = max(e.degree for e in _reduced_rep((f, g), True))
+            without = max(e.degree for e in _reduced_rep((f, g), False))
+            assert tgcd_slope(f, g) == with_one - without
+        nonzero = [f for f in fs if not f.is_zero()]
+        if nonzero:
+            basis = coprime_basis([p for f in nonzero for p in (f.num, f.den)])
+            rows = []
+            for f in nonzero:
+                finite, at_inf = divisor_exponents(f, basis)
+                rows.append(tuple(finite) + (at_inf,))
+            assert mult_independent(nonzero).matrix == tuple(rows)
+
+
+def _reference_summary(rows, epsilon):
+    first_below = next((r.k for r in rows if r.ratio < epsilon), None)
+    stays_below = False
+    threshold_k = None
+    if first_below is not None:
+        tail = [r for r in rows if r.k >= first_below]
+        stays_below = all(r.ratio < epsilon for r in tail)
+        above = [i for i, r in enumerate(rows) if r.ratio >= epsilon]
+        nxt = above[-1] + 1 if above else 0
+        if nxt < len(rows):
+            threshold_k = rows[nxt].k
+    return first_below, stays_below, threshold_k
+
+
+def test_sweep_summary_on_every_pattern(monkeypatch):
+    # gcd degree k (ratio 1) marks a row above epsilon, 0 a row below
+    cfg = SweepConfig(
+        F=parse_multipoly("x1", 1, first_index=1),
+        G=parse_multipoly("x1+1", 1, first_index=1),
+        gs=(rf("z"),),
+    )
+    for length in range(1, 11):
+        for bits in range(2**length):
+            above = [bits >> i & 1 for i in range(length)]
+            degrees = iter(k * a for k, a in enumerate(above, 1))
+            monkeypatch.setattr(nevandeg, "ngcd_slope", lambda f, g: next(degrees))
+            res = gcd_sweep(SweepConfig(cfg.F, cfg.G, cfg.gs, k_max=length))
+            assert [r.ratio >= res.epsilon for r in res.rows] == [bool(a) for a in above]
+            assert (res.first_below, res.stays_below, res.threshold_k) == (
+                _reference_summary(res.rows, res.epsilon)
+            )
