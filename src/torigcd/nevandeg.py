@@ -11,6 +11,7 @@ for multiplicatively independent g's.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -274,27 +275,125 @@ def _sweep_gates(cfg: SweepConfig, track: str) -> None:
             )
 
 
+def _horner_plan(terms: Sequence[Tuple[Tuple[int, ...], int]], axis: int = 0):
+    """Nested Horner plan of integer terms, one variable at a time.
+
+    The plan groups the terms by their exponent e of variable ``axis`` and
+    lists (e, plan of the group in the later variables) by descending e;
+    past the last variable a plan is the term's coefficient.
+    """
+    if axis == len(terms[0][0]):
+        return terms[0][1]
+    groups: dict = {}
+    for e, c in terms:
+        groups.setdefault(e[axis], []).append((e, c))
+    return [(j, _horner_plan(groups[j], axis + 1)) for j in sorted(groups, reverse=True)]
+
+
+def _horner(plan, tops: Sequence[int], xs: Sequence[int], ys: Sequence[int], axis: int = 0) -> int:
+    """sum_e c_e prod_i xs_i^e_i ys_i^(tops_i - e_i) over the plan's terms."""
+    if axis == len(xs):
+        return plan
+    x, y = xs[axis], ys[axis]
+    prev = plan[0][0]
+    ypow = y ** (tops[axis] - prev)  # y^(t - e) for the current exponent e
+    acc = 0
+    for j, sub in plan:
+        if j < prev:
+            acc *= x ** (prev - j)
+            ypow *= y ** (prev - j)
+            prev = j
+        acc += _horner(sub, tops, xs, ys, axis + 1) * ypow
+    return acc * x**prev
+
+
+def _point_plan(cfg: SweepConfig):
+    """(bases, plans) of a sweep over polynomial bases, for ``_coprime_at_point``.
+
+    bases holds (u_i, ||u_i||_1, d_i) with g_i = u_i/d_i, u_i = g_i.num.ints
+    and d_i = g_i.num.den; plans holds (t, Horner plan, plan of the |c_e|)
+    for P = F, G, with t_i = deg_{x_i} P.
+    """
+    bases = [(g.num.ints, sum(map(abs, g.num.ints)), g.num.den) for g in cfg.gs]
+    plans = []
+    for P in (cfg.F, cfg.G):
+        terms = list(P.ints.items())
+        plans.append((
+            [max(P.degree_in(axis), 0) for axis in range(P.nvars)],
+            _horner_plan(terms),
+            _horner_plan([(e, abs(c)) for e, c in terms]),
+        ))
+    return bases, plans
+
+
+def _coprime_at_point(k: int, bases, plans) -> bool:
+    """True only if the numerators of F(g^k) and G(g^k) are nonzero and coprime.
+
+    ``bases`` and ``plans`` come from ``_point_plan``.  Each polynomial base
+    g_i = u_i/d_i enters as g_i^k = (u_i^k, d_i^k), as in ``substitute``, so
+    F(g^k) has the numerator
+    N_F = sum_e c_e prod_i u_i^(k e_i) d_i^(k (t_i - e_i)), t_i = deg_{x_i} F,
+    up to a scalar, and likewise N_G.  The 1-norm of N_P is at most
+    beta_P = sum_e |c_e| prod_i ||u_i||_1^(k e_i) d_i^(k (t_i - e_i)), so by
+    Cauchy's bound every root a of N_P has |a| < 1 + beta_P.
+
+    At x = 2 min(beta_F, beta_G) + 2 both values N_F(x), N_G(x) are taken.
+    Take a nonconstant common factor H of N_F and N_G primitive in Z[z]; by
+    Gauss's lemma it divides both in Z[z], so H(x) divides both values.
+    Every root a of H lies below 1 + min(beta_F, beta_G) = x/2 in absolute
+    value, so |H(x)| >= prod |x - a| > (x/2)^(deg H) >= x/2.  When both
+    values are nonzero and 2 gcd(N_F(x), N_G(x)) < x there is no such H:
+    the reduced numerators of F(g^k) and G(g^k), N_F and N_G up to scalars,
+    are coprime, so ``ngcd_slope`` is 0, and neither composed function
+    vanishes identically.  This is GCDHEU's first point (Char, Geddes and
+    Gonnet, JSC 1989) with the norms bounded from the bases, so neither
+    N_F nor N_G is built.
+    """
+    norms = [n**k for _, n, _ in bases]
+    ys = [d**k for _, _, d in bases]
+    x = 2 * min(_horner(absplan, tops, norms, ys) for tops, _, absplan in plans) + 2
+    xs = []
+    for u, _, _ in bases:
+        v = 0
+        for c in reversed(u):
+            v = v * x + c
+        xs.append(v**k)
+    a, b = (_horner(plan, tops, xs, ys) for tops, plan, _ in plans)
+    return a != 0 and b != 0 and 2 * math.gcd(a, b) < x
+
+
 def _run_sweep(cfg: SweepConfig, track: str) -> SweepResult:
     _sweep_gates(cfg, track)
     scale_unit = max(char_slope(g) for g in cfg.gs)
     rows: List[SweepRow] = []
-    # hs = [g**k for g in gs], advanced by one product per row; the factors
-    # are powers of the same reduced g, so the products need no gcd
-    step = [g**cfg.k_step for g in cfg.gs]
-    hs = [g**cfg.k_min for g in cfg.gs]
+    # n-track rows over polynomial bases are first tried at one integer point
+    at_point = track == "n" and all(g.is_polynomial() for g in cfg.gs)
+    if at_point:
+        bases, plans = _point_plan(cfg)
+    # hs = [g**k_last for g in gs], k_last the last row built, advanced by
+    # one product with g**(k - k_last); the factors are powers of the same
+    # reduced g, so the products need no gcd
+    hs = [RationalFunction.constant(1)] * len(cfg.gs)
+    k_last = gap = 0
     for k in range(cfg.k_min, cfg.k_max + 1, cfg.k_step):
-        if k > cfg.k_min:
+        if at_point and _coprime_at_point(k, bases, plans):
+            deg = 0
+        else:
+            if k - k_last != gap:
+                gap = k - k_last
+                step = [g**gap for g in cfg.gs]
             hs = [
                 RationalFunction._coprime(h.num * s.num, h.den * s.den)
                 for h, s in zip(hs, step)
             ]
-        f = substitute(cfg.F, hs)
-        g = substitute(cfg.G, hs)
-        if f.is_zero() or g.is_zero():
-            raise HypothesisError(
-                "a composed function vanishes identically", {"k": k}
-            )
-        deg = ngcd_slope(f, g) if track == "n" else tgcd_slope(f, g)
+            k_last = k
+            f = substitute(cfg.F, hs)
+            g = substitute(cfg.G, hs)
+            if f.is_zero() or g.is_zero():
+                raise HypothesisError(
+                    "a composed function vanishes identically", {"k": k}
+                )
+            deg = ngcd_slope(f, g) if track == "n" else tgcd_slope(f, g)
         scale = k * scale_unit
         rows.append(SweepRow(k=k, gcd_degree=deg, scale=scale, ratio=Fraction(deg, scale)))
     first_below = next((r.k for r in rows if r.ratio < cfg.epsilon), None)

@@ -1,0 +1,140 @@
+"""Power-sweep rows decided at one integer point.
+
+``_coprime_at_point`` proves an n-track row over polynomial bases coprime
+without building F(g^k) or G(g^k).  Every sweep must equal a reference run
+with the proof switched off, byte for byte, and the proof must never claim
+a row whose composed numerators sympy finds a nonconstant gcd for.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from torigcd import nevandeg
+from torigcd.errors import HypothesisError
+from torigcd.nevandeg import SweepConfig, gcd_sweep, tgcd_sweep
+from torigcd.parsing import parse_multipoly, parse_ratfunc
+from torigcd.ratfunc import RationalFunction
+from torigcd.unipoly import UniPoly
+
+# (F, G, bases, k_max, track): the shapes of the benchmark's sweep inputs, with
+# bases over constants a, b, c of magnitudes 1, 2, 3 in a seeded order and signs
+TEMPLATES = [
+    ("x1-1", "x2-1", ("z{a:+d}", "z{b:+d}"), 60, "n"),
+    ("x1-1", "x2-1", ("z{a:+d}", "z^2{b:+d}"), 30, "n"),
+    ("x1*x2-1", "x3-1", ("z{a:+d}", "z{b:+d}", "z{c:+d}"), 40, "n"),
+    ("x1-1", "x2*x3-1", ("z{a:+d}", "z{b:+d}", "z{c:+d}"), 20, "n"),
+    ("x1-1", "x2-1", ("z/(z{a:+d})", "z{b:+d}"), 30, "n"),
+    ("x1-1", "x2-1", ("z/(z{a:+d})", "(z{b:+d})/(z{c:+d})"), 30, "n"),
+    ("x1*x2-1", "x1-1", ("z{a:+d}", "z{b:+d}"), 30, "n"),
+    ("x1^2-x2", "x2-1", ("z{a:+d}", "z{b:+d}"), 30, "n"),
+    ("x1-1", "x2-1", ("z{a:+d}", "z{b:+d}"), 30, "t"),
+    ("x1-1", "x2-1", ("z{a:+d}", "z^2{b:+d}"), 30, "t"),
+    ("x1-1", "x2-1", ("z^2{a:+d}", "z^2{b:+d}"), 20, "n"),
+]
+
+# rows the point cannot prove: every row shares z-2, and every even row z+2
+SHARED = [
+    ("x1^2-x2", "x2-1", ("z-3", "z-1"), 30, "n"),
+    ("x1-1", "x2-1", ("z+3", "z+1"), 30, "n"),
+]
+
+PAIRS = [("x1-1", "x2-1"), ("x1*x2-1", "x1-1"), ("x1^2-x2", "x2-1"), ("x1+x2-2", "x1-2*x2")]
+FRACTIONS = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+
+
+def _config(F, G, bases, **kw):
+    n = len(bases)
+    return SweepConfig(
+        F=parse_multipoly(F, n, first_index=1),
+        G=parse_multipoly(G, n, first_index=1),
+        gs=tuple(b if isinstance(b, RationalFunction) else parse_ratfunc(b) for b in bases),
+        **kw,
+    )
+
+
+def _template_sweeps(seeds):
+    for seed in seeds:
+        rng = random.Random(seed)
+        a, b, c = (m * rng.choice((-1, 1)) for m in rng.sample((1, 2, 3), 3))
+        for F, G, bases, k_max, track in TEMPLATES:
+            yield track, _config(F, G, [g.format(a=a, b=b, c=c) for g in bases], k_max=k_max)
+
+
+def _random_base(rng):
+    deg = rng.randint(1, 2)
+    lead = rng.choice([f for f in FRACTIONS if f])
+    return RationalFunction(UniPoly([rng.choice(FRACTIONS) for _ in range(deg)] + [lead]))
+
+
+def _random_sweeps(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        F, G = rng.choice(PAIRS)
+        k_min, k_step = rng.randint(1, 4), rng.randint(1, 2)
+        bases = [_random_base(rng) for _ in range(2)]
+        yield "n", _config(F, G, bases, k_min=k_min, k_max=k_min + rng.randint(4, 12), k_step=k_step)
+
+
+def _outcome(track, cfg):
+    run = gcd_sweep if track == "n" else tgcd_sweep
+    try:
+        return repr(run(cfg))
+    except HypothesisError as exc:
+        return repr((str(exc), exc.certificate))
+
+
+def test_point_rows_equal_the_polynomial_route(monkeypatch):
+    sweeps = [
+        *_template_sweeps(range(3)),
+        *((track, _config(F, G, bases, k_max=k_max)) for F, G, bases, k_max, track in SHARED),
+        ("n", _config("x1-1", "x2-1", ("z+3", "z+1"), k_min=2, k_max=20, k_step=2)),
+        # F(g) vanishes identically at k = 1, against a constant G
+        ("n", _config("x1-x2-1", "2", ("z+1", "z"), k_max=3)),
+        *_random_sweeps(7, 40),
+    ]
+    got = [_outcome(track, cfg) for track, cfg in sweeps]
+    monkeypatch.setattr(nevandeg, "_coprime_at_point", lambda *args: False)
+    assert got == [_outcome(track, cfg) for track, cfg in sweeps]
+    assert [out for out in got if "SweepResult" not in out] == [
+        repr(("a composed function vanishes identically", {"k": 1}))
+    ]
+
+
+def test_point_proof_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def poly(coeffs):
+        return sympy.Poly(list(reversed(coeffs)), z, domain=sympy.QQ)
+
+    sweeps = [
+        *_template_sweeps(range(2)),
+        *((track, _config(F, G, bases, k_max=8)) for F, G, bases, _, track in SHARED),
+        *_random_sweeps(11, 12),
+    ]
+    proved = shared = 0
+    for _, cfg in sweeps:
+        if not all(g.is_polynomial() for g in cfg.gs):
+            continue
+        bases, plans = nevandeg._point_plan(cfg)
+        gs = [poly(g.num.coeffs) for g in cfg.gs]
+        for k in range(1, 9):
+            nums = []
+            for P in (cfg.F, cfg.G):
+                value = poly([0])
+                for exp, c in P.terms.items():
+                    term = poly([c])
+                    for g, e in zip(gs, exp):
+                        term *= g ** (k * e)
+                    value += term
+                nums.append(value)
+            if any(num.is_zero for num in nums):
+                continue
+            degree = nums[0].gcd(nums[1]).degree()
+            claim = nevandeg._coprime_at_point(k, bases, plans)
+            assert not (claim and degree > 0), (cfg, k)
+            proved += claim
+            shared += degree > 0
+    assert proved > 100 and shared > 10
