@@ -37,6 +37,7 @@ from .ordering import parse_order
 from .parsing import (
     MAX_POWER_DEGREE,
     MAX_SLICE_MONOMIALS,
+    MAX_SWEEP_BITS,
     infer_homogeneous_nvars,
     parse_multipoly,
     parse_place,
@@ -199,6 +200,22 @@ def _cmd_gcd_sweep(args) -> int:
         raise _UsageError(
             f"gcd-sweep: --kmax {args.kmax} times {top}, the degree per step of g^k,"
             f" F(g^k) and G(g^k), exceeds the degree cap {MAX_POWER_DEGREE}"
+        )
+    # row k tries a point of about k * bits bits, bits = min over P = F, G of
+    # sum_i deg_{x_i} P * bit length of the largest 1-norm or denominator in
+    # g_i, whose values have k * top times as many (nevandeg._coprime_at_point;
+    # GCDHEU's point for the rows it cannot prove grows alike)
+    norm_bits = [
+        max(max(sum(map(abs, p.ints)), p.den) for p in (g.num, g.den)).bit_length()
+        for g in gs
+    ]
+    bits = min(sum(P.degree_in(i) * b for i, b in enumerate(norm_bits)) for P in (F, G))
+    rows = len(range(args.kmin, args.kmax + 1, args.kstep))
+    if rows * args.kmax * top * args.kmax * bits > MAX_SWEEP_BITS:
+        raise _UsageError(
+            f"gcd-sweep: {rows} rows times {args.kmax * top * args.kmax * bits} bits,"
+            f" the size of a point value at --kmax {args.kmax}, exceeds the size cap"
+            f" {MAX_SWEEP_BITS}"
         )
     cfg = SweepConfig(
         F=F,

@@ -18,6 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import HypothesisError
+from .kernel.intpoly_py import _evaluate
 from .multipoly import (
     MultiPoly,
     coprime_multivariate,
@@ -345,19 +346,16 @@ def _coprime_at_point(k: int, bases, plans) -> bool:
     values are nonzero and 2 gcd(N_F(x), N_G(x)) < x there is no such H:
     the reduced numerators of F(g^k) and G(g^k), N_F and N_G up to scalars,
     are coprime, so ``ngcd_slope`` is 0, and neither composed function
-    vanishes identically.  This is GCDHEU's first point (Char, Geddes and
-    Gonnet, JSC 1989) with the norms bounded from the bases, so neither
-    N_F nor N_G is built.
+    vanishes identically.  For polynomial f, g ``_cleared`` gives L = 1, so
+    ``tgcd_slope`` = ``_rep_slope([1, f, g]) - _rep_slope([f, g])`` =
+    deg gcd(f, g) = ``ngcd_slope``: the row is 0 on either track.  This is
+    GCDHEU's first point (Char, Geddes and Gonnet, JSC 1989) with the norms
+    bounded from the bases, so neither N_F nor N_G is built.
     """
     norms = [n**k for _, n, _ in bases]
     ys = [d**k for _, _, d in bases]
     x = 2 * min(_horner(absplan, tops, norms, ys) for tops, _, absplan in plans) + 2
-    xs = []
-    for u, _, _ in bases:
-        v = 0
-        for c in reversed(u):
-            v = v * x + c
-        xs.append(v**k)
+    xs = [_evaluate(u, x) ** k for u, _, _ in bases]
     a, b = (_horner(plan, tops, xs, ys) for tops, plan, _ in plans)
     return a != 0 and b != 0 and 2 * math.gcd(a, b) < x
 
@@ -366,8 +364,8 @@ def _run_sweep(cfg: SweepConfig, track: str) -> SweepResult:
     _sweep_gates(cfg, track)
     scale_unit = max(char_slope(g) for g in cfg.gs)
     rows: List[SweepRow] = []
-    # n-track rows over polynomial bases are first tried at one integer point
-    at_point = track == "n" and all(g.is_polynomial() for g in cfg.gs)
+    # rows over polynomial bases, on either track, are first tried at one integer point
+    at_point = all(g.is_polynomial() for g in cfg.gs)
     if at_point:
         bases, plans = _point_plan(cfg)
     # hs = [g**k_last for g in gs], k_last the last row built, advanced by

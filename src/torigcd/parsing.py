@@ -42,6 +42,11 @@ MAX_POWER_SIZE = 3 * 10**6
 # largest graded slice `basis` and `bs-check` build: C(m+n, n) monomials of
 # degree m in n+1 variables, the column count of the slice's rank matrices
 MAX_SLICE_MONOMIALS = 1000
+# rows times the bits of the last row's point values that `gcd-sweep` accepts:
+# the values of x1-1, x2-1 over z+3, z-2 reach 2*kmax^2 bits at row kmax, and
+# the sweep took 0.4 s at kmax 200, 1.9 s at 300 and 7.9 s at 400 (in-process,
+# 2-core container, CPython 3.11)
+MAX_SWEEP_BITS = 10**8
 # deepest parenthesis nesting: each level takes five parser frames
 MAX_NESTING = 100
 
@@ -86,12 +91,14 @@ def check_numeral(numeral: str) -> None:
         )
 
 
-def _bits(values) -> int:
-    """Largest bit length among the numerators and denominators of rationals."""
-    return max(
-        (max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values),
-        default=0,
-    )
+def _bits(ints, den: int) -> int:
+    """Largest bit length among the numerators and denominators of the
+    coefficients c/den, each reduced on its own as a ``Fraction`` is."""
+    top = 0
+    for c in ints:
+        g = math.gcd(c, den)
+        top = max(top, (c // g).bit_length(), (den // g).bit_length())
+    return top
 
 
 class _Parser:
@@ -211,7 +218,7 @@ class _UniAlgebra:
         return max(f.num.degree, f.den.degree, 0)
 
     def coeff_bits(self, f: RationalFunction) -> int:
-        return _bits(f.num.coeffs + f.den.coeffs)
+        return max(_bits(p.ints, p.den) for p in (f.num, f.den))
 
     def term_bound(self, f: RationalFunction, k: int) -> int:
         """Most coefficients of the numerator or denominator of f^k; the
@@ -257,7 +264,7 @@ class _MultiAlgebra:
         return max(F.total_degree(), 0)
 
     def coeff_bits(self, F: MultiPoly) -> int:
-        return _bits(F.terms.values())
+        return _bits(F.ints.values(), F.den)
 
     def term_bound(self, F: MultiPoly, k: int) -> int:
         """Most terms F^k can have, without building it.

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, headers, determinism, corpus runs."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import pathlib
@@ -10,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torigcd import cli
+from torigcd import cli, nevandeg
 from torigcd.cli import run
-from torigcd.parsing import MAX_NESTING, MAX_POWER_DEGREE, MAX_SLICE_MONOMIALS
+from torigcd.parsing import MAX_NESTING, MAX_POWER_DEGREE, MAX_SLICE_MONOMIALS, MAX_SWEEP_BITS
 
 BASIS = ["basis", "--F1", "x0", "--F2", "x1", "--m", "2", "--order", "lex"]
 SWEEP = [
@@ -133,6 +134,32 @@ def test_sweep_composed_degree_cap(capsys):
     assert run(["gcd-sweep", "--F", "x1^444", "--G", "x2-1", "--g", "z^444", "--g", "z+1",
                 "--kmax", "2"]) == 3
     assert "degree cap" in capsys.readouterr().err
+
+
+def test_sweep_size_cap(capsys, monkeypatch):
+    # rows * kmax * top * kmax * bits: over z+3, z-2 top is 1 and bits is
+    # min(3, 2) = 2, so kmax 368 gives 2 * 368^3 = 99672064, the corner
+    found = ["gcd-sweep", "--F", "x1-1", "--G", "x2-1", "--g", "z+3", "--g", "z-2"]
+    assert MAX_SWEEP_BITS == 10**8
+    # kmax 1000 did not finish in 300 s before the cap
+    for track in ("n", "t"):
+        assert run(found + ["--kmax", "1000", "--track", track]) == 3
+        assert "size cap" in capsys.readouterr().err
+    # 51 and 369 rows over the cap, 50 rows of 2 * 10^6 bits at it
+    for extra in (["--kmax", "369"], ["--kmin", "950", "--kmax", "1000"]):
+        assert run(found + extra) == 3
+        assert "size cap" in capsys.readouterr().err
+    # inside the cap only row 1 is run: the 368-row sweep is a CI time budget
+    seen = []
+
+    def row_one(cfg):
+        seen.append((cfg.k_min, cfg.k_max))
+        return nevandeg.gcd_sweep(dataclasses.replace(cfg, k_min=1, k_max=1))
+
+    monkeypatch.setattr(cli, "gcd_sweep", row_one)
+    assert run(found + ["--kmax", "368"]) == 0
+    assert run(found + ["--kmin", "951", "--kmax", "1000"]) == 0
+    assert seen == [(1, 368), (951, 1000)]
 
 
 def test_usage_errors():

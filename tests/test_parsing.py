@@ -253,6 +253,20 @@ def test_coefficient_bit_cap_boundary():
         parse_multipoly("(2^1000*x0)^10", 1)
 
 
+def test_coefficient_bit_cap_reduces_each_coefficient():
+    # 1/2^40 and 1/3^25 are 41 and 40 bits each; over their common
+    # denominator they would read 80 bits, so the cap counts 41 per step:
+    # 41 * 243 = 9963 passes and 41 * 244 = 10004 does not
+    base = "(z/2^40+1/3^25)"
+    assert MAX_COEFF_BITS == 10000
+    assert parse_ratfunc(f"{base}^243").num.degree == 243
+    assert len(parse_multipoly(f"{base.replace('z', 'x0')}^243", 1).ints) == 244
+    with pytest.raises(ParseError, match="coefficient cap"):
+        parse_ratfunc(f"{base}^244")
+    with pytest.raises(ParseError, match="coefficient cap"):
+        parse_multipoly(f"{base.replace('z', 'x0')}^244", 1)
+
+
 def test_rational_exponent_cap():
     assert parse_rational("1e-3") == Fraction(1, 1000)
     assert parse_rational("1e3010").numerator.bit_length() == MAX_COEFF_BITS

@@ -1,11 +1,13 @@
 """Power-sweep rows decided at one integer point.
 
-``_coprime_at_point`` proves an n-track row over polynomial bases coprime
-without building F(g^k) or G(g^k).  Every sweep must equal a reference run
-with the proof switched off, byte for byte, and the proof must never claim
+``_coprime_at_point`` proves a row over polynomial bases, on either track,
+coprime without building F(g^k) or G(g^k).  Every sweep must equal a
+reference run with the proof switched off, byte for byte, the two tracks
+must give the same rows on polynomial bases, and the proof must never claim
 a row whose composed numerators sympy finds a nonconstant gcd for.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -100,6 +102,28 @@ def test_point_rows_equal_the_polynomial_route(monkeypatch):
     assert [out for out in got if "SweepResult" not in out] == [
         repr(("a composed function vanishes identically", {"k": 1}))
     ]
+
+
+def test_tracks_agree_on_polynomial_bases():
+    # over polynomial bases F(g^k) and G(g^k) are polynomials, so their gcd
+    # proximity is 0 and every T_gcd row is the row's deg gcd
+    sweeps = [
+        *(cfg for _, cfg in _template_sweeps(range(3)) if all(g.is_polynomial() for g in cfg.gs)),
+        *(cfg for _, cfg in _random_sweeps(13, 240)),
+    ]
+    def untracked(run, cfg):
+        try:
+            return dataclasses.replace(run(cfg), track=None)
+        except HypothesisError as exc:
+            return str(exc), exc.certificate
+
+    results = []
+    for cfg in sweeps:
+        results.append(untracked(gcd_sweep, cfg))
+        assert results[-1] == untracked(tgcd_sweep, cfg), cfg
+    swept = [r for r in results if isinstance(r, nevandeg.SweepResult)]
+    assert len(swept) >= 200
+    assert sum(any(row.gcd_degree for row in r.rows) for r in swept) > 20
 
 
 def test_point_proof_agrees_with_sympy():
