@@ -10,7 +10,7 @@ Hot polynomial kernels (heuristic integer gcd over growing evaluation
 points, fraction-free rank) live in ``torigcd.kernel``.
 """
 
-from .errors import HypothesisError, ParseError
+from .errors import HypothesisError, ParseError, UsageError
 from .expunits import (
     BorelClass,
     BorelPartition,

@@ -17,11 +17,10 @@ import os
 import sys
 from contextlib import redirect_stdout
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import HypothesisError, ParseError
+from .errors import HypothesisError, ParseError, UsageError
 from .expunits import QuadExt, exp_char_slope, exp_ngcd_slope, format_quad, parse_quad
 from .idealslice import (
     asymptotic_check,
@@ -37,7 +36,6 @@ from .ordering import parse_order
 from .parsing import (
     MAX_POWER_DEGREE,
     MAX_SLICE_MONOMIALS,
-    MAX_SWEEP_BITS,
     infer_homogeneous_nvars,
     parse_multipoly,
     parse_place,
@@ -52,15 +50,11 @@ OUTDIR_ENV = "TORIGCD_OUTDIR"
 _HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # CPython 3.10.7+, 3.11+
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems via exception, not sys.exit(2)."""
 
     def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
+        raise UsageError(f"{self.prog}: {message}")
 
 
 def _emit(text: str, out: Optional[str], subcommand: str, ext: str) -> None:
@@ -75,7 +69,7 @@ def _emit(text: str, out: Optional[str], subcommand: str, ext: str) -> None:
             Path(out).parent.mkdir(parents=True, exist_ok=True)
             Path(out).write_text(text)
         except OSError as exc:
-            raise _UsageError(f"{subcommand}: cannot write {out}: {exc}") from exc
+            raise UsageError(f"{subcommand}: cannot write {out}: {exc}") from exc
 
 
 def _emit_json(payload: dict, seed: int, out: Optional[str], subcommand: str) -> None:
@@ -99,7 +93,7 @@ def _check_slice_size(command: str, m: int, nvars: int) -> None:
     """
     count = monomial_count(max(m, 1), nvars - 1)
     if count > MAX_SLICE_MONOMIALS:
-        raise _UsageError(
+        raise UsageError(
             f"{command}: --m {m} in {nvars} variables gives {count} slice"
             f" monomials, over the cap {MAX_SLICE_MONOMIALS}"
         )
@@ -144,11 +138,11 @@ def _cmd_basis(args) -> int:
 
 def _cmd_identities(args) -> int:
     if args.n < 1 or args.d < 1 or args.mmax < 4 * args.d:
-        raise _UsageError("identities: need --n >= 1, --d >= 1 and --mmax >= 4*d")
+        raise UsageError("identities: need --n >= 1, --d >= 1 and --mmax >= 4*d")
     # one row per m, and n + 1 variables: the row cap of the sweeps and the
     # variable count a slice of degree 1 allows
     if args.mmax > MAX_POWER_DEGREE or args.n >= MAX_SLICE_MONOMIALS:
-        raise _UsageError(
+        raise UsageError(
             f"identities: need --mmax <= {MAX_POWER_DEGREE} and --n <= {MAX_SLICE_MONOMIALS - 1}"
         )
     rep = asymptotic_check(args.n, args.d, args.mmax)
@@ -183,44 +177,15 @@ def _cmd_identities(args) -> int:
 
 def _cmd_gcd_sweep(args) -> int:
     if args.kmin < 1 or args.kstep < 1 or args.kmax < args.kmin:
-        raise _UsageError("gcd-sweep: need 1 <= --kmin <= --kmax and --kstep >= 1")
+        raise UsageError("gcd-sweep: need 1 <= --kmin <= --kmax and --kstep >= 1")
     epsilon = parse_rational(args.epsilon)
     if epsilon <= 0:
-        raise _UsageError("gcd-sweep: --epsilon must be positive")
+        raise UsageError("gcd-sweep: --epsilon must be positive")
     nvars = len(args.g)
-    F = parse_multipoly(args.F, nvars, first_index=1)
-    G = parse_multipoly(args.G, nvars, first_index=1)
-    gs = tuple(parse_ratfunc(g) for g in args.g)
-    # the sweep builds g^kmax for every base and P(g^k) for P = F, G, whose
-    # degree is at most k * sum_i deg_{x_i} P * deg g_i: the powers the parser caps
-    slopes = [max(g.num.degree, g.den.degree) for g in gs]
-    composed = [sum(P.degree_in(i) * s for i, s in enumerate(slopes)) for P in (F, G)]
-    top = max(1, *slopes, *composed)
-    if args.kmax * top > MAX_POWER_DEGREE:
-        raise _UsageError(
-            f"gcd-sweep: --kmax {args.kmax} times {top}, the degree per step of g^k,"
-            f" F(g^k) and G(g^k), exceeds the degree cap {MAX_POWER_DEGREE}"
-        )
-    # row k tries a point of about k * bits bits, bits = min over P = F, G of
-    # sum_i deg_{x_i} P * bit length of the largest 1-norm or denominator in
-    # g_i, whose values have k * top times as many (nevandeg._coprime_at_point;
-    # GCDHEU's point for the rows it cannot prove grows alike)
-    norm_bits = [
-        max(max(sum(map(abs, p.ints)), p.den) for p in (g.num, g.den)).bit_length()
-        for g in gs
-    ]
-    bits = min(sum(P.degree_in(i) * b for i, b in enumerate(norm_bits)) for P in (F, G))
-    rows = len(range(args.kmin, args.kmax + 1, args.kstep))
-    if rows * args.kmax * top * args.kmax * bits > MAX_SWEEP_BITS:
-        raise _UsageError(
-            f"gcd-sweep: {rows} rows times {args.kmax * top * args.kmax * bits} bits,"
-            f" the size of a point value at --kmax {args.kmax}, exceeds the size cap"
-            f" {MAX_SWEEP_BITS}"
-        )
     cfg = SweepConfig(
-        F=F,
-        G=G,
-        gs=gs,
+        F=parse_multipoly(args.F, nvars, first_index=1),
+        G=parse_multipoly(args.G, nvars, first_index=1),
+        gs=tuple(parse_ratfunc(g) for g in args.g),
         k_min=args.kmin,
         k_max=args.kmax,
         k_step=args.kstep,
@@ -266,7 +231,7 @@ def _cmd_exp_slopes(args) -> int:
     a = parse_quad(args.a)
     b = parse_quad(args.b)
     if not 1 <= args.kmax <= MAX_POWER_DEGREE:
-        raise _UsageError(f"exp-slopes: --kmax must be in 1..{MAX_POWER_DEGREE}, the row cap")
+        raise UsageError(f"exp-slopes: --kmax must be in 1..{MAX_POWER_DEGREE}, the row cap")
     scale = max(exp_char_slope(a), exp_char_slope(b))
     rows = []
     for k in range(1, args.kmax + 1):
@@ -281,7 +246,7 @@ def _cmd_exp_slopes(args) -> int:
 def _cmd_corpus(args) -> int:
     root = Path(args.path)
     if not root.is_dir():
-        raise _UsageError(f"corpus: not a directory: {root}")
+        raise UsageError(f"corpus: not a directory: {root}")
     cases = sorted(root.glob("*.json"))
     lines = []
     failures = 0
@@ -388,7 +353,7 @@ def run(argv: Sequence[str]) -> int:
         return args.func(args)
     except SystemExit as exc:  # --help and friends
         return PASS if exc.code in (0, None) else USAGE
-    except _UsageError as exc:
+    except UsageError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
     except ParseError as exc:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .errors import HypothesisError
+from .errors import HypothesisError, UsageError
 from .kernel.intpoly_py import _evaluate
 from .multipoly import (
     MultiPoly,
@@ -25,6 +25,7 @@ from .multipoly import (
     format_multipoly,
     substitute,
 )
+from .parsing import MAX_POWER_DEGREE, MAX_SWEEP_WORK
 from .ratfunc import (
     INFINITY,
     RationalFunction,
@@ -239,7 +240,8 @@ class SweepResult:
         }
 
 
-def _sweep_gates(cfg: SweepConfig, track: str) -> None:
+def _sweep_gates(cfg: SweepConfig, track: str):
+    """Check the sweep's inputs, its caps before any proof; return ``_point_plan(cfg)``."""
     nvars = cfg.F.nvars
     if cfg.G.nvars != nvars or len(cfg.gs) != nvars:
         raise HypothesisError(
@@ -252,6 +254,19 @@ def _sweep_gates(cfg: SweepConfig, track: str) -> None:
         raise ValueError("need 1 <= k_min <= k_max and k_step >= 1")
     if cfg.epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    bases, plans = _point_plan(cfg)
+    top = max(1, *(char_slope(g) for g in cfg.gs), *(D for _, D, _, _ in plans))
+    if cfg.k_max * top > MAX_POWER_DEGREE:
+        raise UsageError(
+            f"k_max {cfg.k_max} times {top}, the degree per step of g^k,"
+            f" F(g^k) and G(g^k), exceeds the degree cap {MAX_POWER_DEGREE}"
+        )
+    bits = _point_bits(cfg, bases, plans)
+    work = sum(v * v for v in bits)
+    if work > MAX_SWEEP_WORK:
+        raise UsageError(
+            f"{len(bits)} rows give {work} squared point bits, over the size cap {MAX_SWEEP_WORK}"
+        )
     if not coprime_multivariate(cfg.F, cfg.G):
         raise HypothesisError(
             "sweep polynomials must be coprime",
@@ -274,6 +289,7 @@ def _sweep_gates(cfg: SweepConfig, track: str) -> None:
             raise HypothesisError(
                 "the characteristic track needs F, G not both zero at the origin"
             )
+    return bases, plans
 
 
 def _horner_plan(terms: Sequence[Tuple[Tuple[int, ...], int]], axis: int = 0):
@@ -309,34 +325,59 @@ def _horner(plan, tops: Sequence[int], xs: Sequence[int], ys: Sequence[int], axi
 
 
 def _point_plan(cfg: SweepConfig):
-    """(bases, plans) of a sweep over polynomial bases, for ``_coprime_at_point``.
+    """(bases, plans) of a sweep, for ``_coprime_at_point`` and ``_point_bits``.
 
-    bases holds (u_i, ||u_i||_1, d_i) with g_i = u_i/d_i, u_i = g_i.num.ints
-    and d_i = g_i.num.den; plans holds (t, Horner plan, plan of the |c_e|)
-    for P = F, G, with t_i = deg_{x_i} P.
+    A base g_i = (u_i/a_i)/(w_i/b_i), u_i, w_i integer polynomials, gives
+    (u_i, n_i, d_i) with n_i = ||u_i||_1 b_i and d_i = ||w_i||_1 a_i, so a
+    polynomial base is g_i = u_i/d_i.  plans holds (t, D, Horner plan, plan
+    of the |c_e|) for P = F, G, t_i = deg_{x_i} P and D = sum_i t_i deg g_i.
+    Up to a scalar, as in ``substitute``, P(g^k) has the numerator
+    N_P = sum_e c_e prod_i (u_i b_i)^(k e_i) (w_i a_i)^(k (t_i - e_i)), of
+    degree at most k D and 1-norm at most beta_P (``_betas``).
     """
-    bases = [(g.num.ints, sum(map(abs, g.num.ints)), g.num.den) for g in cfg.gs]
+    bases = [
+        (g.num.ints, sum(map(abs, g.num.ints)) * g.den.den, sum(map(abs, g.den.ints)) * g.num.den)
+        for g in cfg.gs
+    ]
     plans = []
     for P in (cfg.F, cfg.G):
         terms = list(P.ints.items())
+        tops = [max(P.degree_in(axis), 0) for axis in range(P.nvars)]
         plans.append((
-            [max(P.degree_in(axis), 0) for axis in range(P.nvars)],
+            tops,
+            sum(t * char_slope(g) for t, g in zip(tops, cfg.gs)),
             _horner_plan(terms),
             _horner_plan([(e, abs(c)) for e, c in terms]),
         ))
     return bases, plans
 
 
+def _betas(k: int, bases, plans) -> List[int]:
+    """[beta_F, beta_G] at k, beta_P = sum_e |c_e| prod_i n_i^(k e_i) d_i^(k (t_i - e_i))."""
+    norms = [n**k for _, n, _ in bases]
+    ys = [d**k for _, _, d in bases]
+    return [_horner(absplan, tops, norms, ys) for tops, _, _, absplan in plans]
+
+
+def _point_bits(cfg: SweepConfig, bases, plans) -> List[int]:
+    """V_k for each row k: |N_P(x)| <= beta_P x^(k D) and beta_P grows with k,
+    so with beta_P and x = 2 min(beta_F, beta_G) + 2 at k_max, V_k = max over P
+    of k D bitlen(x) + bitlen(beta_P) bounds the values of row k at its own
+    point.  GCDHEU's points for the rows the point cannot prove grow alike."""
+    betas = _betas(cfg.k_max, bases, plans)
+    x_bits = (2 * min(betas) + 2).bit_length()
+    return [
+        max(k * D * x_bits + beta.bit_length() for (_, D, _, _), beta in zip(plans, betas))
+        for k in range(cfg.k_min, cfg.k_max + 1, cfg.k_step)
+    ]
+
+
 def _coprime_at_point(k: int, bases, plans) -> bool:
     """True only if the numerators of F(g^k) and G(g^k) are nonzero and coprime.
 
-    ``bases`` and ``plans`` come from ``_point_plan``.  Each polynomial base
-    g_i = u_i/d_i enters as g_i^k = (u_i^k, d_i^k), as in ``substitute``, so
-    F(g^k) has the numerator
-    N_F = sum_e c_e prod_i u_i^(k e_i) d_i^(k (t_i - e_i)), t_i = deg_{x_i} F,
-    up to a scalar, and likewise N_G.  The 1-norm of N_P is at most
-    beta_P = sum_e |c_e| prod_i ||u_i||_1^(k e_i) d_i^(k (t_i - e_i)), so by
-    Cauchy's bound every root a of N_P has |a| < 1 + beta_P.
+    ``bases`` and ``plans`` come from ``_point_plan``, where the numerator N_P
+    of P(g^k) has 1-norm at most beta_P; by Cauchy's bound every root a of
+    N_P has |a| < 1 + beta_P.
 
     At x = 2 min(beta_F, beta_G) + 2 both values N_F(x), N_G(x) are taken.
     Take a nonconstant common factor H of N_F and N_G primitive in Z[z]; by
@@ -352,22 +393,19 @@ def _coprime_at_point(k: int, bases, plans) -> bool:
     GCDHEU's first point (Char, Geddes and Gonnet, JSC 1989) with the norms
     bounded from the bases, so neither N_F nor N_G is built.
     """
-    norms = [n**k for _, n, _ in bases]
+    x = 2 * min(_betas(k, bases, plans)) + 2
     ys = [d**k for _, _, d in bases]
-    x = 2 * min(_horner(absplan, tops, norms, ys) for tops, _, absplan in plans) + 2
     xs = [_evaluate(u, x) ** k for u, _, _ in bases]
-    a, b = (_horner(plan, tops, xs, ys) for tops, plan, _ in plans)
+    a, b = (_horner(plan, tops, xs, ys) for tops, _, plan, _ in plans)
     return a != 0 and b != 0 and 2 * math.gcd(a, b) < x
 
 
 def _run_sweep(cfg: SweepConfig, track: str) -> SweepResult:
-    _sweep_gates(cfg, track)
+    bases, plans = _sweep_gates(cfg, track)
     scale_unit = max(char_slope(g) for g in cfg.gs)
     rows: List[SweepRow] = []
     # rows over polynomial bases, on either track, are first tried at one integer point
     at_point = all(g.is_polynomial() for g in cfg.gs)
-    if at_point:
-        bases, plans = _point_plan(cfg)
     # hs = [g**k_last for g in gs], k_last the last row built, advanced by
     # one product with g**(k - k_last); the factors are powers of the same
     # reduced g, so the products need no gcd

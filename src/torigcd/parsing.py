@@ -16,8 +16,8 @@ rejected before it is converted, and so is a variable index that long;
 check_numeral holds the numerals of the other grammars (rationals, quadratic
 literals, weight vectors) to the same digit count.  Parentheses nest at most
 MAX_NESTING deep, and a run of signs is read in a loop, so no input recurses
-past the interpreter's stack.  MAX_SLICE_MONOMIALS, the largest slice the
-`basis` and `bs-check` subcommands accept, sits here with the other caps.
+past the interpreter's stack.  MAX_SLICE_MONOMIALS (`basis`, `bs-check`) and
+MAX_SWEEP_WORK (the power sweep) sit here with the other caps.
 """
 
 from __future__ import annotations
@@ -42,11 +42,10 @@ MAX_POWER_SIZE = 3 * 10**6
 # largest graded slice `basis` and `bs-check` build: C(m+n, n) monomials of
 # degree m in n+1 variables, the column count of the slice's rank matrices
 MAX_SLICE_MONOMIALS = 1000
-# rows times the bits of the last row's point values that `gcd-sweep` accepts:
-# the values of x1-1, x2-1 over z+3, z-2 reach 2*kmax^2 bits at row kmax, and
-# the sweep took 0.4 s at kmax 200, 1.9 s at 300 and 7.9 s at 400 (in-process,
-# 2-core container, CPython 3.11)
-MAX_SWEEP_BITS = 10**8
+# sum over a sweep's rows of V_k^2, V_k as in nevandeg._point_bits: a gcd of
+# two V-bit values took 2.2*10^-12 s * V^2 (z+3, z-2; 2-core container,
+# CPython 3.11), so over z+3, z-2 it admits kmax 411 (13 s), not rows 991..1000
+MAX_SWEEP_WORK = 10**13
 # deepest parenthesis nesting: each level takes five parser frames
 MAX_NESTING = 100
 

@@ -153,23 +153,15 @@ def ordw_check(etas: Sequence[RationalFunction], pl: Place) -> LocalCheckReport:
             raise HypothesisError("local data of the zero function", {"index": j, "eta": "0"})
     lhs = sum(_vplus(f, pl) for f in etas) - M * (M - 1) // 2
     W = _wronskian(tuple(etas))
-    if W.is_zero():
-        return LocalCheckReport(
-            check="ordw",
-            place=pl,
-            lhs=lhs,
-            rhs=0,
-            passed=True,
-            vacuous=True,
-            info={"wronskian": "0", "M": M},
-        )
-    rhs = _vplus(W, pl)
+    vacuous = W.is_zero()
+    rhs = 0 if vacuous else _vplus(W, pl)
     return LocalCheckReport(
         check="ordw",
         place=pl,
         lhs=lhs,
         rhs=rhs,
-        passed=lhs <= rhs,
+        passed=vacuous or lhs <= rhs,
+        vacuous=vacuous,
         info={"wronskian": format_ratfunc(W), "M": M},
     )
 

@@ -1,11 +1,11 @@
 """End-to-end CLI behavior: exit codes, headers, determinism, corpus runs."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import pathlib
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from torigcd import cli, nevandeg
 from torigcd.cli import run
-from torigcd.parsing import MAX_NESTING, MAX_POWER_DEGREE, MAX_SLICE_MONOMIALS, MAX_SWEEP_BITS
+from torigcd.parsing import MAX_NESTING, MAX_POWER_DEGREE, MAX_SLICE_MONOMIALS, MAX_SWEEP_WORK
 
 BASIS = ["basis", "--F1", "x0", "--F2", "x1", "--m", "2", "--order", "lex"]
 SWEEP = [
@@ -136,30 +136,58 @@ def test_sweep_composed_degree_cap(capsys):
     assert "degree cap" in capsys.readouterr().err
 
 
+ZP3 = ["--F", "x1-1", "--G", "x2-1", "--g", "z+3", "--g", "z-2"]
+
+
 def test_sweep_size_cap(capsys, monkeypatch):
-    # rows * kmax * top * kmax * bits: over z+3, z-2 top is 1 and bits is
-    # min(3, 2) = 2, so kmax 368 gives 2 * 368^3 = 99672064, the corner
-    found = ["gcd-sweep", "--F", "x1-1", "--G", "x2-1", "--g", "z+3", "--g", "z-2"]
-    assert MAX_SWEEP_BITS == 10**8
-    # kmax 1000 did not finish in 300 s before the cap
+    # the sum over rows of V_k^2, V_k the bits of row k's point values bounded
+    # at kmax's point (nevandeg._point_bits): over z+3, z-2 kmax 411 gives
+    # 9.995 * 10^12, the corner, and 412 gives 1.013 * 10^13
+    found = ["gcd-sweep", *ZP3]
+    assert MAX_SWEEP_WORK == 10**13
+    # kmax 1000 did not finish in 300 s before any size cap
     for track in ("n", "t"):
         assert run(found + ["--kmax", "1000", "--track", track]) == 3
         assert "size cap" in capsys.readouterr().err
-    # 51 and 369 rows over the cap, 50 rows of 2 * 10^6 bits at it
-    for extra in (["--kmax", "369"], ["--kmin", "950", "--kmax", "1000"]):
+    # 412 rows over the cap, and 51 and 50 rows of about 1.6 * 10^6 bits
+    for extra in (["--kmax", "412"], ["--kmin", "950", "--kmax", "1000"],
+                  ["--kmin", "951", "--kmax", "1000"]):
         assert run(found + extra) == 3
         assert "size cap" in capsys.readouterr().err
-    # inside the cap only row 1 is run: the 368-row sweep is a CI time budget
-    seen = []
+    # at the corner the gate checks the full sweep and the rows are stubbed:
+    # the 411-row sweep is a CI time budget
+    monkeypatch.setattr(nevandeg, "_coprime_at_point", lambda *args: True)
+    for track in ("n", "t"):
+        assert run(found + ["--kmax", "411", "--track", track]) == 0
+        out = capsys.readouterr().out
+        assert "\n411,0,411,0\n" in out and out.count("\n") == 411 + 3
 
-    def row_one(cfg):
-        seen.append((cfg.k_min, cfg.k_max))
-        return nevandeg.gcd_sweep(dataclasses.replace(cfg, k_min=1, k_max=1))
 
-    monkeypatch.setattr(cli, "gcd_sweep", row_one)
-    assert run(found + ["--kmax", "368"]) == 0
-    assert run(found + ["--kmin", "951", "--kmax", "1000"]) == 0
-    assert seen == [(1, 368), (951, 1000)]
+FOUND_ROWS = ["--F", "x1^300*x2^300*x3^300+1", "--G", "x1^300*x2^300*x3^300+x1+2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # one row took 25 s over the 2^30 bases and 87 s over the 2^60 bases,
+        # and these ten rows 48 s, under the earlier cap on rows times bits
+        FOUND_ROWS + ["--g", "2^30*z+1", "--g", "2^30*z+3", "--g", "2^30*z+5", "--kmax", "1"],
+        FOUND_ROWS + ["--g", "2^60*z+1", "--g", "2^60*z+3", "--g", "2^60*z+5", "--kmax", "1"],
+        ZP3 + ["--kmin", "991", "--kmax", "1000"],
+    ],
+)
+@pytest.mark.parametrize("track", ["n", "t"])
+def test_sweep_size_cap_fails_fast(argv, track, capsys, monkeypatch):
+    def unreached(*args):
+        raise AssertionError("the size cap comes first")
+
+    monkeypatch.setattr(nevandeg, "coprime_multivariate", unreached)
+    monkeypatch.setattr(nevandeg, "mult_independent", unreached)
+    start = time.perf_counter()
+    assert run(["gcd-sweep", *argv, "--track", track]) == 3
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "size cap" in captured.err
 
 
 def test_usage_errors():

@@ -4,17 +4,22 @@
 coprime without building F(g^k) or G(g^k).  Every sweep must equal a
 reference run with the proof switched off, byte for byte, the two tracks
 must give the same rows on polynomial bases, and the proof must never claim
-a row whose composed numerators sympy finds a nonconstant gcd for.
+a row whose composed numerators sympy finds a nonconstant gcd for.  The
+sweep's size cap reads the same point bound, so ``_point_bits`` must bound
+every value the proof takes, and both caps must stop a sweep before any
+proof runs.
 """
 
 import dataclasses
+import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
 from torigcd import nevandeg
-from torigcd.errors import HypothesisError
+from torigcd.errors import HypothesisError, UsageError
 from torigcd.nevandeg import SweepConfig, gcd_sweep, tgcd_sweep
 from torigcd.parsing import parse_multipoly, parse_ratfunc
 from torigcd.ratfunc import RationalFunction
@@ -162,3 +167,52 @@ def test_point_proof_agrees_with_sympy():
             proved += claim
             shared += degree > 0
     assert proved > 100 and shared > 10
+
+
+def test_point_bits_bound_the_point_values(monkeypatch):
+    values = []
+
+    def gcd(a, b):
+        values.append((a, b))
+        return math.gcd(a, b)
+
+    monkeypatch.setattr(nevandeg, "math", types.SimpleNamespace(gcd=gcd))
+    rows = 0
+    # at 14*x1 over z the point is 30 on every row, and the bound nearly meets
+    # the value 14 * 30^k: bitlen(beta_F) carries the 14
+    tight = _config("14*x1", "100*x2-1", ("z", "z+3"), k_max=30)
+    for _, cfg in [*_template_sweeps(range(3)), ("n", tight)]:
+        bases, plans = nevandeg._point_plan(cfg)
+        ks = range(cfg.k_min, cfg.k_max + 1, cfg.k_step)
+        for k, bits in zip(ks, nevandeg._point_bits(cfg, bases, plans), strict=True):
+            values.clear()
+            nevandeg._coprime_at_point(k, bases, plans)
+            (a, b), = values
+            assert max(a.bit_length(), b.bit_length()) <= bits, (cfg, k)
+            rows += 1
+    assert rows == 3 * sum(k_max for *_, k_max, _ in TEMPLATES) + 30
+
+
+def _unreached(*args):
+    raise AssertionError("the caps come first")
+
+
+@pytest.mark.parametrize("run", [gcd_sweep, tgcd_sweep])
+@pytest.mark.parametrize(
+    "F, G, bases, kw, cap",
+    [
+        ("x1-1", "x2-1", ("z", "z+1"), {"k_min": 1001, "k_max": 1001}, "degree cap"),
+        ("x1^100-2", "x2-1", ("z^5", "z+1"), {"k_max": 3}, "degree cap"),
+        ("x1-1", "x2-1", ("z+3", "z-2"), {"k_max": 412}, "size cap"),
+        ("x1-1", "x2-1", ("z+3", "z-2"), {"k_min": 991, "k_max": 1000}, "size cap"),
+        ("x1-1", "x2-1", ("z/(z+3)", "(z-2)/(z+5)"), {"k_max": 1000}, "size cap"),
+    ],
+)
+def test_sweep_caps_come_before_the_proofs(run, F, G, bases, kw, cap, monkeypatch):
+    monkeypatch.setattr(nevandeg, "coprime_multivariate", _unreached)
+    monkeypatch.setattr(nevandeg, "mult_independent", _unreached)
+    with pytest.raises(UsageError, match=cap):
+        run(_config(F, G, bases, **kw))
+    # inside both caps the gate goes on to the proofs
+    with pytest.raises(AssertionError, match="the caps come first"):
+        run(_config("x1-1", "x2-1", ("z+3", "z-2"), k_max=411))
