@@ -22,9 +22,10 @@ from operator import add
 from typing import List, Tuple
 
 from . import linalg
-from .errors import HypothesisError
+from .errors import HypothesisError, UsageError
 from .multipoly import MultiPoly, coprime_multivariate, format_multipoly
 from .ordering import LEX, MonomialOrder, trailing_monomial
+from .parsing import MAX_POWER_DEGREE, MAX_SLICE_MONOMIALS
 
 Exponent = Tuple[int, ...]
 
@@ -142,6 +143,8 @@ def build_basis_slice(
     """
     F1._check_arity(F2)
     nvars = F1.nvars
+    if order.arity is not None and order.arity != nvars:
+        raise UsageError(f"weight vector length {order.arity} != variable count {nvars}")
     if nvars < 2:
         raise HypothesisError("need at least two variables for a graded slice")
     n = nvars - 1
@@ -160,8 +163,6 @@ def build_basis_slice(
         )
     if m < d:
         raise HypothesisError("need m >= d", {"m": m, "d": d})
-    if order.arity is not None and order.arity != nvars:
-        raise ValueError("order arity does not match the variable count")
     if not coprime_multivariate(F1, F2):
         raise HypothesisError(
             "slice generators must be coprime",
@@ -310,19 +311,28 @@ class AsymptoticReport:
     passed: bool
 
 
-def asymptotic_check(n: int, d: int, m_max: int, anchor: int = 10) -> AsymptoticReport:
+ANCHOR_M = 10
+
+
+def asymptotic_check(n: int, d: int, m_max: int) -> AsymptoticReport:
     """Scaled residuals of c, M, Mprime against their leading-term expansions.
 
     For m = 2d..m_max the sequences |c - m^(n+1)/(n+1)! - m^n/(2(n-1)!)| / m^(n-1),
     |M - m^n/n!| / m^(n-1), and Mprime / m^(n-2) are computed exactly.  Each is
     summarized by its maximum and checked against its value at the anchor
-    (bounded for m >= anchor by the anchor value).  For n = 1 the third
-    sequence is Mprime itself, which is eventually constant.
+    m = ANCHOR_M, pulled into 2d..m_max (bounded for m >= anchor by the anchor
+    value).  For n = 1 the third sequence is Mprime itself, which is
+    eventually constant.
+
+    One row per m, and n + 1 variables: m_max is held to the sweeps' row cap
+    and n to the variable count a slice of degree 1 allows.
     """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if m_max < 4 * d:
-        raise ValueError("need m_max >= 4d for meaningful evidence")
+    if n < 1 or d < 1 or m_max < 4 * d:
+        raise UsageError("need n >= 1, d >= 1 and m_max >= 4d")
+    if m_max > MAX_POWER_DEGREE or n >= MAX_SLICE_MONOMIALS:
+        raise UsageError(
+            f"need m_max <= {MAX_POWER_DEGREE} and n <= {MAX_SLICE_MONOMIALS - 1}"
+        )
     lead_den = math.factorial(n + 1)
     second_den = 2 * math.factorial(n - 1)
     rows: List[AsymptoticRow] = []
@@ -339,7 +349,7 @@ def asymptotic_check(n: int, d: int, m_max: int, anchor: int = 10) -> Asymptotic
         else:
             res_Mp = Fraction(sc.Mprime)
         rows.append(AsymptoticRow(m, sc.c, sc.M, sc.Mprime, res_c, res_M, res_Mp))
-    anchor_m = max(2 * d, min(anchor, m_max))
+    anchor_m = max(2 * d, min(ANCHOR_M, m_max))
     summaries = []
     passed = True
     for name, values in (

@@ -241,7 +241,11 @@ class SweepResult:
 
 
 def _sweep_gates(cfg: SweepConfig, track: str):
-    """Check the sweep's inputs, its caps before any proof; return ``_point_plan(cfg)``."""
+    """Check the sweep's range, inputs and caps before any proof; return ``_point_plan(cfg)``."""
+    if cfg.k_min < 1 or cfg.k_step < 1 or cfg.k_max < cfg.k_min:
+        raise UsageError("need 1 <= k_min <= k_max and k_step >= 1")
+    if cfg.epsilon <= 0:
+        raise UsageError("epsilon must be positive")
     nvars = cfg.F.nvars
     if cfg.G.nvars != nvars or len(cfg.gs) != nvars:
         raise HypothesisError(
@@ -250,10 +254,6 @@ def _sweep_gates(cfg: SweepConfig, track: str):
         )
     if cfg.F.is_zero() or cfg.G.is_zero():
         raise HypothesisError("sweep polynomials must be nonzero")
-    if cfg.k_min < 1 or cfg.k_step < 1 or cfg.k_max < cfg.k_min:
-        raise ValueError("need 1 <= k_min <= k_max and k_step >= 1")
-    if cfg.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     bases, plans = _point_plan(cfg)
     top = max(1, *(char_slope(g) for g in cfg.gs), *(D for _, D, _, _ in plans))
     if cfg.k_max * top > MAX_POWER_DEGREE:

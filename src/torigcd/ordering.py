@@ -99,8 +99,8 @@ def trailing_monomial(F: MultiPoly, order: MonomialOrder) -> Exponent:
     return best
 
 
-def parse_order(text: str, nvars: "int | None" = None) -> MonomialOrder:
-    """Parse 'lex' or 'weight:3,2,1'; checks arity when nvars is given."""
+def parse_order(text: str) -> MonomialOrder:
+    """Parse 'lex' or 'weight:3,2,1'; ``build_basis_slice`` checks the arity."""
     text = text.strip()
     if text == "lex":
         return LEX
@@ -113,12 +113,7 @@ def parse_order(text: str, nvars: "int | None" = None) -> MonomialOrder:
         except ValueError as exc:
             raise ParseError(f"bad weight vector in {text!r}") from exc
         try:
-            order = Weight(u)
+            return Weight(u)
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
-        if nvars is not None and order.arity != nvars:
-            raise ParseError(
-                f"weight vector length {order.arity} != variable count {nvars}"
-            )
-        return order
     raise ParseError(f"unknown order {text!r} (use lex or weight:a,b,...)")

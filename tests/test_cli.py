@@ -214,6 +214,21 @@ def test_sweep_bad_range_is_usage_error(extra, capsys):
     assert "gcd-sweep" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a usage fault beside a hypothesis fault: zero F, one base for two
+        # variables, an inhomogeneous F1
+        SWEEP[:2] + ["0"] + SWEEP[3:] + ["--kmin", "0"],
+        ["gcd-sweep", "--F", "x1-1", "--G", "x2-1", "--g", "z", "--kmin", "0"],
+        ["basis", "--F1", "x0+1", "--F2", "x1", "--m", "2", "--order", "weight:1"],
+    ],
+)
+def test_usage_fault_outranks_hypothesis_fault(argv, capsys):
+    assert run(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["basis", "--help"]) == 0

@@ -128,6 +128,50 @@ def test_ngcd_slope_symmetry_linearity_bound():
         assert s < scaled or s == scaled
 
 
+def _common_zero_count(a, b, T):
+    """How many zeros 2 pi i t/(ka) of e^(kaz) - 1, |t| <= T, e^(kbz) - 1 shares.
+
+    It shares the zero when t b/a is an integer n, that is when t b = n a in
+    both coordinates of x + y sqrt(d); n is read off one nonzero coordinate
+    of a with plain Fractions, and no QuadExt arithmetic runs.
+    """
+    count = 0
+    for t in range(-T, T + 1):
+        n = t * b.a / a.a if a.a else t * b.b / a.b
+        if n.denominator == 1 and t * b.a == n * a.a and t * b.b == n * a.b:
+            count += 1
+    return count
+
+
+def test_ngcd_slope_matches_zero_count():
+    """(count - 1) k|a| / (2T) is the slope at T a multiple of q, b/a = p/q.
+
+    The shared zeros are t in qZ, so at T = jq the count is 2j + 1; an
+    irrational ratio shares only z = 0.
+    """
+    rng = random.Random(127)
+    for _ in range(60):
+        d = rng.choice([1, 2, 3, 5])
+        a = q(rng.randint(-4, 4), rng.randint(1, 3) * rng.choice([-1, 0, 1]), d)
+        if a.is_zero():
+            continue
+        k = rng.randint(1, 6)
+        if rng.random() < 0.5:
+            ratio = Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 5))
+            b = a * q(ratio)
+            for T in (ratio.denominator, 3 * ratio.denominator):
+                count = _common_zero_count(a, b, T)
+                assert count == 2 * T // ratio.denominator + 1
+                assert exp_ngcd_slope(a, b, k) == abs(a) * q(Fraction((count - 1) * k, 2 * T))
+        else:
+            # a second coordinate off the line through a, in the same field
+            b = q(rng.randint(-3, 3), rng.randint(1, 3), rng.choice([2, 3, 5]) if a.d == 1 else a.d)
+            if b.a * a.b == b.b * a.a:
+                continue
+            assert _common_zero_count(a, b, 30) == 1
+            assert exp_ngcd_slope(a, b, k) == q(0)
+
+
 def test_asym_ratio_dichotomy():
     for k in (1, 2, 9):
         assert exp_asym_ratio(q(1), q(Fraction(3, 2)), k) == q(Fraction(1, 3))

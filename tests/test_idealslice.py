@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from torigcd.errors import HypothesisError
+from torigcd import idealslice
+from torigcd.errors import HypothesisError, UsageError
 from torigcd.idealslice import (
     BasisReport,
     asymptotic_check,
@@ -96,6 +97,30 @@ def test_slice_constants_consistency():
             assert s.L * s.c >= s.M * (s.M - 1) // 2 > (s.L - 1) * s.c
 
 
+def test_slice_constants_match_monomial_counts():
+    """c, M and Mprime from enumerated monomials in n + 1 variables.
+
+    B1 and B2 have one element per degree-(m-d) multiplier, and B1' one per
+    multiplier that x0^d, a trailing monomial of degree d, divides.  The sum
+    S(delta) of the first exponent over the degree-delta monomials gives
+    c = 2 S(m-d) - S(m-2d).
+    """
+
+    def S(nvars, delta):
+        return sum(e[0] for e in monomials_of_degree(nvars, delta))
+
+    for n in range(1, 5):
+        for d in range(1, 4):
+            for m in range(d, 13):
+                multipliers = monomials_of_degree(n + 1, m - d)
+                b1_prime = [i for i in multipliers if i[0] >= d]
+                M = 2 * len(multipliers) - len(b1_prime)
+                Mprime = len(monomials_of_degree(n + 1, m)) - M
+                c = 2 * S(n + 1, m - d) - S(n + 1, m - 2 * d)
+                s = slice_constants(m, n, d)
+                assert (s.c, s.M, s.Mprime) == (c, M, Mprime), (m, n, d)
+
+
 def test_build_example_quadrics():
     F1 = mp("x0^2+x1*x2", 3)
     F2 = mp("x1^2-x0*x2", 3)
@@ -153,6 +178,13 @@ def test_hypothesis_gates():
     with pytest.raises(ValueError):
         # order arity mismatch is a usage error, not a hypothesis failure
         build_basis_slice(mp("x0", 2), mp("x1", 2), 1, order=Weight((1, 2, 3)))
+
+
+def test_order_arity_is_checked_first():
+    # a wrong-arity order outranks the inhomogeneous F1
+    for order in (Weight((1,)), Weight((3, 2, 1))):
+        with pytest.raises(UsageError, match="variable count 2"):
+            build_basis_slice(mp("x0+1", 2), mp("x1", 2), 2, order=order)
 
 
 def test_univariate_pair_rejected():
@@ -243,3 +275,30 @@ def test_asymptotic_anchor_clamped_to_range():
     assert rep.anchor_m == 8
     with pytest.raises(ValueError):
         asymptotic_check(1, 2, 6)  # below the 4d floor
+
+
+class _TableRow(Exception):
+    pass
+
+
+def _table_row(*args):
+    raise _TableRow
+
+
+@pytest.mark.parametrize(
+    "n, d, m_max",
+    [
+        (0, 1, 8),
+        (2, 0, 8),
+        (2, 2, 7),  # m_max = 4d - 1
+        (2, 1, 1001),  # one row per m, over the row cap
+        (1000, 1, 8),  # n + 1 variables, over the slice cap at degree 1
+    ],
+)
+def test_asymptotic_check_range_and_caps_come_first(n, d, m_max, monkeypatch):
+    monkeypatch.setattr(idealslice, "slice_constants", _table_row)
+    with pytest.raises(UsageError):
+        asymptotic_check(n, d, m_max)
+    # the corner of both caps goes on to the table
+    with pytest.raises(_TableRow):
+        asymptotic_check(999, 1, 1000)

@@ -331,7 +331,6 @@ def test_parsers_return_or_raise_parse_error(text):
         lambda t: parse_multipoly(t, 5),
         parse_quad,
         parse_order,
-        lambda t: parse_order(t, 3),
         parse_rational,
     ]
     for parse in parsers:

@@ -216,3 +216,31 @@ def test_sweep_caps_come_before_the_proofs(run, F, G, bases, kw, cap, monkeypatc
     # inside both caps the gate goes on to the proofs
     with pytest.raises(AssertionError, match="the caps come first"):
         run(_config("x1-1", "x2-1", ("z+3", "z-2"), k_max=411))
+
+
+@pytest.mark.parametrize("run", [gcd_sweep, tgcd_sweep])
+@pytest.mark.parametrize(
+    "kw, rule",
+    [
+        ({"k_min": 0}, "k_min <= k_max"),
+        ({"k_min": -1}, "k_min <= k_max"),
+        ({"k_step": 0}, "k_step >= 1"),
+        ({"k_step": -2}, "k_step >= 1"),
+        ({"k_min": 5, "k_max": 4}, "k_min <= k_max"),
+        ({"epsilon": Fraction(0)}, "epsilon must be positive"),
+        ({"epsilon": Fraction(-1, 3)}, "epsilon must be positive"),
+    ],
+)
+def test_sweep_range_comes_before_every_other_check(run, kw, rule, monkeypatch):
+    for name in ("_point_plan", "coprime_multivariate", "mult_independent"):
+        monkeypatch.setattr(nevandeg, name, _unreached)
+    base = _config("x1-1", "x2-1", ("z+3", "z-2"), **kw)
+    # a zero F and one base for two variables are hypothesis faults the range
+    # check outranks
+    for cfg in (
+        base,
+        dataclasses.replace(base, F=parse_multipoly("0", 2, first_index=1)),
+        dataclasses.replace(base, gs=base.gs[:1]),
+    ):
+        with pytest.raises(UsageError, match=rule):
+            run(cfg)
