@@ -4,7 +4,10 @@ Exit codes: 0 pass/success, 1 verification failure, 2 hypothesis-gate
 rejection (certificate included in the report), 3 parse or usage error,
 4 internal fault (an exception no other code covers; one line on stderr).
 Reports are CSV for sweep-style tables and JSON for certificates; every
-report records the seed in its header and renders rationals exactly.
+report records the seed in its header and renders rationals exactly.  A
+subcommand only builds its report and verdict; run writes the report (to
+--out, else $TORIGCD_OUTDIR/<subcommand>.<ext>, else stdout) and picks the
+exit code.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ from .wronskian import bs_check, ordw_check
 PASS, FAIL, REJECTED, USAGE, INTERNAL = 0, 1, 2, 3, 4
 OUTDIR_ENV = "TORIGCD_OUTDIR"
 _HAS_DIGIT_LIMIT = hasattr(sys, "set_int_max_str_digits")  # CPython 3.10.7+, 3.11+
+# what each _cmd_* handler returns, with no I/O of its own: the rendered
+# report, its file extension and its verdict; run writes the report once and
+# exits 0 on a true verdict, 1 on a false one
+Report = tuple[str, str, bool]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,11 +64,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _emit(text: str, out: Optional[str], subcommand: str, ext: str) -> None:
-    if out is None:
-        outdir = os.environ.get(OUTDIR_ENV)
-        if outdir:
-            out = str(Path(outdir) / f"{subcommand}.{ext}")
+def _emit(text: str, out: Optional[str]) -> None:
+    """Write a report to the path out, or to stdout when out is None."""
     if out is None:
         sys.stdout.write(text)
     else:
@@ -72,9 +76,8 @@ def _emit(text: str, out: Optional[str], subcommand: str, ext: str) -> None:
             raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
-def _emit_json(payload: dict, seed: int, out: Optional[str], subcommand: str) -> None:
-    payload = {"seed": seed, **payload}
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out, subcommand, "json")
+def _json_text(seed: int, payload: dict) -> str:
+    return json.dumps({"seed": seed, **payload}, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(seed: int, header: Sequence[str], rows: Sequence[Sequence], trailer: str = "") -> str:
@@ -99,7 +102,7 @@ def _check_slice_size(m: int, nvars: int) -> None:
         )
 
 
-def _cmd_basis(args) -> int:
+def _cmd_basis(args) -> Report:
     nvars = infer_homogeneous_nvars(args.F1, args.F2)
     _check_slice_size(args.m, nvars)
     F1 = parse_multipoly(args.F1, nvars)
@@ -132,11 +135,10 @@ def _cmd_basis(args) -> int:
         },
         "passed": basis_rep.passed and sums_rep.passed,
     }
-    _emit_json(payload, args.seed, args.out, "basis")
-    return PASS if payload["passed"] else FAIL
+    return _json_text(args.seed, payload), "json", payload["passed"]
 
 
-def _cmd_identities(args) -> int:
+def _cmd_identities(args) -> Report:
     rep = asymptotic_check(args.n, args.d, args.mmax)
     rows = [
         (r.m, r.c, r.M, r.Mprime, r.res_c, r.res_M, r.res_Mprime) for r in rep.rows
@@ -163,11 +165,10 @@ def _cmd_identities(args) -> int:
         rows,
         trailer="# summary: " + json.dumps(summary, sort_keys=True),
     )
-    _emit(text, args.out, "identities", "csv")
-    return PASS if rep.passed else FAIL
+    return text, "csv", rep.passed
 
 
-def _cmd_gcd_sweep(args) -> int:
+def _cmd_gcd_sweep(args) -> Report:
     nvars = len(args.g)
     cfg = SweepConfig(
         F=parse_multipoly(args.F, nvars, first_index=1),
@@ -186,35 +187,31 @@ def _cmd_gcd_sweep(args) -> int:
         rows,
         trailer="# summary: " + json.dumps(result.to_summary(), sort_keys=True),
     )
-    _emit(text, args.out, "gcd-sweep", "csv")
-    return PASS if result.threshold_k is not None else FAIL
+    return text, "csv", result.threshold_k is not None
 
 
-def _cmd_indep(args) -> int:
+def _cmd_indep(args) -> Report:
     cert = mult_independent([parse_ratfunc(g) for g in args.g])
-    _emit_json(cert.to_json(), args.seed, args.out, "indep")
-    return PASS
+    return _json_text(args.seed, cert.to_json()), "json", True
 
 
-def _cmd_wronskian_check(args) -> int:
+def _cmd_wronskian_check(args) -> Report:
     etas = [parse_ratfunc(e) for e in args.eta]
     rep = ordw_check(etas, parse_place(args.place))
-    _emit_json(rep.to_json(), args.seed, args.out, "wronskian-check")
-    return PASS if rep.passed else FAIL
+    return _json_text(args.seed, rep.to_json()), "json", rep.passed
 
 
-def _cmd_bs_check(args) -> int:
+def _cmd_bs_check(args) -> Report:
     nvars = len(args.g)
     _check_slice_size(args.m, nvars)
     F = parse_multipoly(args.F, nvars)
     G = parse_multipoly(args.G, nvars)
     gs = [parse_unipoly(g) for g in args.g]
     rep = bs_check(F, G, args.m, gs, parse_place(args.place))
-    _emit_json(rep.to_json(), args.seed, args.out, "bs-check")
-    return PASS if rep.passed else FAIL
+    return _json_text(args.seed, rep.to_json()), "json", rep.passed
 
 
-def _cmd_exp_slopes(args) -> int:
+def _cmd_exp_slopes(args) -> Report:
     a = parse_quad(args.a)
     b = parse_quad(args.b)
     if not 1 <= args.kmax <= MAX_POWER_DEGREE:
@@ -225,12 +222,10 @@ def _cmd_exp_slopes(args) -> int:
         ngcd = exp_ngcd_slope(a, b, k)
         max_t = scale * QuadExt.rational(k)
         rows.append((k, format_quad(ngcd), format_quad(max_t), format_quad(ngcd / max_t)))
-    text = _csv_text(args.seed, ("k", "ngcd_slope", "maxT_slope", "ratio"), rows)
-    _emit(text, args.out, "exp-slopes", "csv")
-    return PASS
+    return _csv_text(args.seed, ("k", "ngcd_slope", "maxT_slope", "ratio"), rows), "csv", True
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args) -> Report:
     root = Path(args.path)
     if not root.is_dir():
         raise UsageError(f"not a directory: {root}")
@@ -255,13 +250,8 @@ def _cmd_corpus(args) -> int:
         if code != expected:
             failures += 1
         lines.append(f"case {case.name}: exit {code} (expected {expected}) {verdict}")
-    lines.append(
-        f"corpus: {len(cases) - failures}/{len(cases)} passed"
-        if cases
-        else "corpus: 0/0 passed"
-    )
-    print("\n".join(lines))
-    return PASS if failures == 0 else FAIL
+    lines.append(f"corpus: {len(cases) - failures}/{len(cases)} passed")
+    return "\n".join(lines) + "\n", "txt", failures == 0
 
 
 def build_parser() -> _Parser:
@@ -338,7 +328,12 @@ def run(argv: Sequence[str]) -> int:
         args = _shared_parser().parse_args(list(argv))
         if _HAS_DIGIT_LIMIT:
             sys.set_int_max_str_digits(0)
-        return args.func(args)
+        text, ext, passed = args.func(args)
+        out, outdir = args.out, os.environ.get(OUTDIR_ENV)
+        if out is None and outdir:
+            out = str(Path(outdir) / f"{args.command}.{ext}")
+        _emit(text, out)
+        return PASS if passed else FAIL
     except SystemExit as exc:  # --help and friends
         return PASS if exc.code in (0, None) else USAGE
     except UsageError as exc:  # argparse's own errors name the program already
@@ -348,8 +343,8 @@ def run(argv: Sequence[str]) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return USAGE
     except HypothesisError as exc:  # raised by a subcommand, so args is set
-        payload = {"seed": args.seed, "rejected": str(exc), "certificate": exc.certificate}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        payload = {"rejected": str(exc), "certificate": exc.certificate}
+        sys.stdout.write(_json_text(args.seed, payload))
         return REJECTED
     except Exception as exc:
         # one line on stderr and no traceback: line breaks in the message fold

@@ -442,8 +442,6 @@ def mv_exact_div(A: MultiPoly, B: MultiPoly) -> MultiPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if A.is_zero():
         return _zero(A.nvars)
-    if B.is_constant():
-        return A * (Fraction(1) / B.as_constant())
     cb = math.gcd(*B.ints.values())
     q = _exact_quotient(A.ints, {e: c // cb for e, c in B.ints.items()})
     if q is None:

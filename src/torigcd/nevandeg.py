@@ -410,14 +410,12 @@ def _run_sweep(cfg: SweepConfig, track: str) -> SweepResult:
     # one product with g**(k - k_last); the factors are powers of the same
     # reduced g, so the products need no gcd
     hs = [RationalFunction.constant(1)] * len(cfg.gs)
-    k_last = gap = 0
+    k_last = 0
     for k in range(cfg.k_min, cfg.k_max + 1, cfg.k_step):
         if at_point and _coprime_at_point(k, bases, plans):
             deg = 0
         else:
-            if k - k_last != gap:
-                gap = k - k_last
-                step = [g**gap for g in cfg.gs]
+            step = [g ** (k - k_last) for g in cfg.gs]
             hs = [
                 RationalFunction._coprime(h.num * s.num, h.den * s.den)
                 for h, s in zip(hs, step)

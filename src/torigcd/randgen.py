@@ -30,36 +30,32 @@ def random_exponent(rng: random.Random, nvars: int, delta: int) -> Tuple[int, ..
     return tuple(bounds[i + 1] - bounds[i] - 1 for i in range(nvars))
 
 
-def random_homogeneous(
-    rng: random.Random, nvars: int, d: int, max_terms: int = 4
-) -> MultiPoly:
+def random_homogeneous(rng: random.Random, nvars: int, d: int) -> MultiPoly:
     """Sparse nonzero homogeneous form of exact degree d."""
-    nterms = rng.randint(1, max_terms)
+    nterms = rng.randint(1, 4)
     terms = {}
     for _ in range(nterms):
         terms[random_exponent(rng, nvars, d)] = Fraction(random_coeff(rng))
     return MultiPoly(nvars, terms)
 
 
-def random_coprime_pair(
-    rng: random.Random, nvars: int, d: int, max_terms: int = 4
-) -> Tuple[MultiPoly, MultiPoly]:
+def random_coprime_pair(rng: random.Random, nvars: int, d: int) -> Tuple[MultiPoly, MultiPoly]:
     """Rejection-sampled pair of coprime degree-d forms."""
     while True:
-        F = random_homogeneous(rng, nvars, d, max_terms)
-        G = random_homogeneous(rng, nvars, d, max_terms)
+        F = random_homogeneous(rng, nvars, d)
+        G = random_homogeneous(rng, nvars, d)
         if coprime_multivariate(F, G):
             return F, G
 
 
-def random_order(rng: random.Random, nvars: int, max_weight: int = 5) -> MonomialOrder:
+def random_order(rng: random.Random, nvars: int) -> MonomialOrder:
     if rng.random() < 0.5:
         return LEX
-    return random_weight_order(rng, nvars, max_weight)
+    return random_weight_order(rng, nvars)
 
 
-def random_weight_order(rng: random.Random, nvars: int, max_weight: int = 5) -> Weight:
-    return Weight(tuple(rng.randint(0, max_weight) for _ in range(nvars)))
+def random_weight_order(rng: random.Random, nvars: int) -> Weight:
+    return Weight(tuple(rng.randint(0, 5) for _ in range(nvars)))
 
 
 def random_unipoly(

@@ -176,12 +176,12 @@ def _coerce(value) -> "RationalFunction | None":
     return None
 
 
-def format_ratfunc(f: RationalFunction, var: str = "z") -> str:
+def format_ratfunc(f: RationalFunction) -> str:
     """Render as 'P' for polynomials, '(P)/(Q)' otherwise."""
-    num = format_unipoly(f.num, var)
+    num = format_unipoly(f.num)
     if f.den == ONE:
         return num
-    return f"({num})/({format_unipoly(f.den, var)})"
+    return f"({num})/({format_unipoly(f.den)})"
 
 
 class Place:

@@ -377,7 +377,7 @@ def squarefree_parts(p: UniPoly) -> "list[UniPoly]":
     return parts
 
 
-def format_unipoly(p: UniPoly, var: str = "z") -> str:
+def format_unipoly(p: UniPoly) -> str:
     """Render in the CLI grammar: '+', '-', '*', '^', rationals as p/q."""
     if p.is_zero():
         return "0"
@@ -394,7 +394,7 @@ def format_unipoly(p: UniPoly, var: str = "z") -> str:
         if i == 0:
             body = mag
         else:
-            v = var if i == 1 else f"{var}^{i}"
+            v = "z" if i == 1 else f"z^{i}"
             body = v if mag == "1" else f"{mag}*{v}"
         parts.append(sign + body)
     return "".join(parts)

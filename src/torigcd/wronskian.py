@@ -30,7 +30,7 @@ from .idealslice import binom, build_basis_slice, slice_constants
 from .multipoly import MultiPoly, evaluate_poly
 from .ordering import Weight
 from .ratfunc import Place, RationalFunction, format_ratfunc, place_multiplicity, valuation
-from .unipoly import UniPoly, _canon, format_unipoly, uni_gcd_cofactors, uni_gcd_list
+from .unipoly import UniPoly, _canon, exact_div, format_unipoly, uni_gcd_cofactors, uni_gcd_list
 
 
 def _poly_det(m: "list[list[UniPoly]]") -> UniPoly:
@@ -96,19 +96,11 @@ def _wronskian(fs: "tuple[RationalFunction, ...]") -> RationalFunction:
     # clear column i by q_i^M: every entry d^j f_i has denominator dividing
     # q_i^(j+1) with j+1 <= M, so each cell is a polynomial
     clear = [f.den**M for f in fs]
-    poly_m: "list[list[UniPoly]]" = []
-    for row in rows:
-        prow = []
-        for entry, c in zip(row, clear):
-            quot, rem = divmod(c, entry.den)
-            if rem:
-                raise AssertionError("column clearing left a denominator")
-            prow.append(entry.num * quot)
-        poly_m.append(prow)
-    den = UniPoly.constant(1)
-    for c in clear:
-        den = den * c
-    return RationalFunction(_poly_det(poly_m), den)
+    poly_m = [
+        [entry.num * exact_div(c, entry.den) for entry, c in zip(row, clear)]
+        for row in rows
+    ]
+    return RationalFunction(_poly_det(poly_m), math.prod(clear, start=UniPoly.constant(1)))
 
 
 def _vplus(f: RationalFunction, pl: Place) -> int:

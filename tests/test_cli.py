@@ -20,6 +20,20 @@ SWEEP = [
     "gcd-sweep", "--F", "x1-1", "--G", "x2-1", "--g", "z", "--g", "z+1",
     "--kmin", "1", "--kmax", "60", "--epsilon", "1/10",
 ]
+SHIPPED = pathlib.Path(__file__).resolve().parents[1] / "corpus"
+# one invocation of each subcommand, with the extension of its report file
+EVERY_SUBCOMMAND = [
+    (BASIS, "json"),
+    (["identities", "--n", "2", "--d", "1", "--mmax", "60"], "csv"),
+    (SWEEP, "csv"),
+    (["indep", "--g", "z^2", "--g", "z^3"], "json"),
+    (["wronskian-check", "--eta", "z^2", "--eta", "z^3", "--place", "z"], "json"),
+    (["bs-check", "--F", "x0", "--G", "x1", "--m", "2", "--g", "z", "--g", "z+1", "--place", "z"],
+     "json"),
+    (["exp-slopes", "--a", "1", "--b", "3/2", "--kmax", "20"], "csv"),
+    (["corpus", str(SHIPPED)], "txt"),
+]
+EVERY_NAME = [argv[0] for argv, _ in EVERY_SUBCOMMAND]
 
 
 def _json_out(capsys):
@@ -424,6 +438,26 @@ def test_outdir_env(tmp_path, capsys, monkeypatch):
     assert json.loads((tmp_path / "indep.json").read_text())["independent"]
 
 
+@pytest.mark.parametrize("argv, ext", EVERY_SUBCOMMAND, ids=EVERY_NAME)
+def test_out_flag_writes_file_for_every_subcommand(argv, ext, tmp_path, capsys):
+    code = run(argv)
+    printed = capsys.readouterr().out
+    target = tmp_path / "nested" / f"report.{ext}"
+    assert run(argv + ["--out", str(target)]) == code
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == printed.encode()
+
+
+@pytest.mark.parametrize("argv, ext", EVERY_SUBCOMMAND, ids=EVERY_NAME)
+def test_outdir_env_for_every_subcommand(argv, ext, tmp_path, capsys, monkeypatch):
+    code = run(argv)
+    printed = capsys.readouterr().out
+    monkeypatch.setenv("TORIGCD_OUTDIR", str(tmp_path))
+    assert run(argv) == code
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / f"{argv[0]}.{ext}").read_bytes() == printed.encode()
+
+
 def _write_case(path, name, argv, expect=0):
     (path / name).write_text(json.dumps({"argv": argv, "expect_exit": expect}))
 
@@ -456,9 +490,6 @@ def test_corpus_empty_dir_warns(tmp_path, capsys):
 def test_corpus_missing_dir(tmp_path, capsys):
     assert run(["corpus", str(tmp_path / "absent")]) == 3
     capsys.readouterr()
-
-
-SHIPPED = pathlib.Path(__file__).resolve().parents[1] / "corpus"
 
 
 def test_shipped_corpus_passes(capsys):
