@@ -20,6 +20,7 @@ from .expunits import (
     exp_asym_ratio,
     exp_char_slope,
     exp_ngcd_slope,
+    exp_slope_table,
     format_quad,
     parse_quad,
 )

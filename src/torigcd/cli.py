@@ -7,7 +7,7 @@ Reports are CSV for sweep-style tables and JSON for certificates; every
 report records the seed in its header and renders rationals exactly.  A
 subcommand only builds its report and verdict; run writes the report (to
 --out, else $TORIGCD_OUTDIR/<subcommand>.<ext>, else stdout) and picks the
-exit code.
+exit code.  The cases of a corpus run write only to their own --out.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import HypothesisError, ParseError, UsageError
-from .expunits import QuadExt, exp_char_slope, exp_ngcd_slope, format_quad, parse_quad
+from .expunits import exp_slope_table, parse_quad
 from .idealslice import (
     asymptotic_check,
     build_basis_slice,
@@ -37,7 +37,6 @@ from .multipoly import format_multipoly
 from .nevandeg import SweepConfig, gcd_sweep, mult_independent, tgcd_sweep
 from .ordering import parse_order
 from .parsing import (
-    MAX_POWER_DEGREE,
     MAX_SLICE_MONOMIALS,
     infer_homogeneous_nvars,
     parse_multipoly,
@@ -212,16 +211,7 @@ def _cmd_bs_check(args) -> Report:
 
 
 def _cmd_exp_slopes(args) -> Report:
-    a = parse_quad(args.a)
-    b = parse_quad(args.b)
-    if not 1 <= args.kmax <= MAX_POWER_DEGREE:
-        raise UsageError(f"--kmax must be in 1..{MAX_POWER_DEGREE}, the row cap")
-    scale = max(exp_char_slope(a), exp_char_slope(b))
-    rows = []
-    for k in range(1, args.kmax + 1):
-        ngcd = exp_ngcd_slope(a, b, k)
-        max_t = scale * QuadExt.rational(k)
-        rows.append((k, format_quad(ngcd), format_quad(max_t), format_quad(ngcd / max_t)))
+    rows = exp_slope_table(parse_quad(args.a), parse_quad(args.b), args.kmax)
     return _csv_text(args.seed, ("k", "ngcd_slope", "maxT_slope", "ratio"), rows), "csv", True
 
 
@@ -245,7 +235,7 @@ def _cmd_corpus(args) -> Report:
             continue
         buffer = io.StringIO()
         with redirect_stdout(buffer):
-            code = run([str(x) for x in argv])
+            code = _run([str(x) for x in argv], None)
         verdict = "PASS" if code == expected else "FAIL"
         if code != expected:
             failures += 1
@@ -319,6 +309,12 @@ def _shared_parser() -> _Parser:
 
 
 def run(argv: Sequence[str]) -> int:
+    return _run(argv, os.environ.get(OUTDIR_ENV))
+
+
+def _run(argv: Sequence[str], outdir: Optional[str]) -> int:
+    """run with outdir in place of $TORIGCD_OUTDIR: the corpus runner passes
+    None, so its cases write no report there and cannot overwrite each other."""
     # exact answers print in full: the interpreter's int-to-str digit limit is
     # lifted once argparse has read the integer options, and the parsers cap
     # every numeral they convert
@@ -329,7 +325,7 @@ def run(argv: Sequence[str]) -> int:
         if _HAS_DIGIT_LIMIT:
             sys.set_int_max_str_digits(0)
         text, ext, passed = args.func(args)
-        out, outdir = args.out, os.environ.get(OUTDIR_ENV)
+        out = args.out
         if out is None and outdir:
             out = str(Path(outdir) / f"{args.command}.{ext}")
         _emit(text, out)

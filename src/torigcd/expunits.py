@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
-from .errors import HypothesisError, ParseError
-from .parsing import check_numeral
+from .errors import HypothesisError, ParseError, UsageError
+from .parsing import MAX_POWER_DEGREE, check_numeral
 
 
 def _is_squarefree(n: int) -> bool:
@@ -263,8 +263,22 @@ def exp_asym_ratio(a: QuadExt, b: QuadExt, k: int) -> QuadExt:
     positive constant for every k, which is exactly why independence is
     needed for the vanishing-ratio conclusion.
     """
+    return _asym_row(a, b, k)[2]
+
+
+def _asym_row(a: QuadExt, b: QuadExt, k: int) -> Tuple[QuadExt, QuadExt, QuadExt]:
+    """exp_ngcd_slope at k, its scale k max(|a|, |b|) and their ratio."""
     scale = QuadExt.rational(k) * max(abs(a), abs(b))
-    return exp_ngcd_slope(a, b, k) / scale
+    ngcd = exp_ngcd_slope(a, b, k)
+    return ngcd, scale, ngcd / scale
+
+
+def exp_slope_table(a: QuadExt, b: QuadExt, k_max: int) -> List[tuple]:
+    """Rows (k, exp_ngcd_slope, k max(|a|, |b|), exp_asym_ratio), one per k = 1..k_max,
+    so k_max is held to MAX_POWER_DEGREE, the most rows a power sweep accepts."""
+    if not 1 <= k_max <= MAX_POWER_DEGREE:
+        raise UsageError(f"k_max must be in 1..{MAX_POWER_DEGREE}, the row cap")
+    return [(k, *_asym_row(a, b, k)) for k in range(1, k_max + 1)]
 
 
 @dataclass(frozen=True)

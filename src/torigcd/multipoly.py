@@ -64,10 +64,6 @@ class MultiPoly:
         raise AttributeError("MultiPoly is immutable")
 
     @staticmethod
-    def zero(nvars: int) -> "MultiPoly":
-        return MultiPoly(nvars)
-
-    @staticmethod
     def constant(nvars: int, c: Scalar) -> "MultiPoly":
         return MultiPoly(nvars, {(0,) * nvars: c})
 
@@ -78,8 +74,8 @@ class MultiPoly:
         return MultiPoly(nvars, {tuple(exp): 1})
 
     @staticmethod
-    def monomial(nvars: int, exp: Exponent, c: Scalar = 1) -> "MultiPoly":
-        return MultiPoly(nvars, {tuple(exp): c})
+    def monomial(nvars: int, exp: Exponent) -> "MultiPoly":
+        return MultiPoly(nvars, {tuple(exp): 1})
 
     @property
     def terms(self) -> "Mapping[Exponent, Fraction]":
@@ -219,20 +215,11 @@ class MultiPoly:
                 base = _mul_maps(base, base)
         return _new(self.nvars, result, self.den**k)
 
-    def mul_monomial(self, exp: Exponent, c: Scalar = 1) -> "MultiPoly":
-        """Product with c * x^exp, by exponent shift."""
+    def mul_monomial(self, exp: Exponent) -> "MultiPoly":
+        """Product with x^exp: an exponent shift, which keeps the form canonical."""
         exp = tuple(exp)
-        c = Fraction(c)
-        if not c:
-            return _zero(self.nvars)
-        return _canon(
-            self.nvars,
-            {
-                tuple(map(add, e, exp)): x * c.numerator
-                for e, x in self.ints.items()
-            },
-            self.den * c.denominator,
-        )
+        shifted = {tuple(map(add, e, exp)): x for e, x in self.ints.items()}
+        return _new(self.nvars, shifted, self.den)
 
     def _coerce(self, value) -> "MultiPoly | None":
         if isinstance(value, MultiPoly):

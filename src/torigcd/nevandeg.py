@@ -34,7 +34,7 @@ from .ratfunc import (
     format_ratfunc,
     valuation,
 )
-from .unipoly import ONE, UniPoly, exact_div, format_unipoly, uni_gcd, uni_gcd_list, uni_lcm
+from .unipoly import ONE, UniPoly, format_unipoly, uni_gcd, uni_lcm
 
 
 def char_slope(f: RationalFunction) -> int:
@@ -44,23 +44,18 @@ def char_slope(f: RationalFunction) -> int:
     return max(f.num.degree, f.den.degree)
 
 
-def _cleared(fs: Sequence[RationalFunction]) -> Tuple[UniPoly, List[UniPoly]]:
-    """The lcm L of the denominators and the nonzero numerators f*L."""
-    den = ONE
-    for f in fs:
-        den = uni_lcm(den, f.den)
-    return den, [f.num * exact_div(den, f.den) for f in fs if not f.is_zero()]
-
-
-def _rep_slope(entries: Sequence[UniPoly]) -> int:
-    """Degree of the reduced representation: deg(e/h) = deg e - deg h, h the gcd."""
-    return max(e.degree for e in entries) - uni_gcd_list(entries).degree
-
-
 def map_char_slope(gs: Sequence[RationalFunction]) -> int:
-    """Characteristic slope of the map [1 : g1 : ... : gn]."""
-    den, nums = _cleared(gs)
-    return _rep_slope([den, *nums])
+    """Characteristic slope of the map [1 : g1 : ... : gn] = [L : g1 L : ... : gn L].
+
+    L is the lcm of the denominators, and the slope is the top entry degree,
+    deg L + max(0, deg num g_i - deg den g_i) over the nonzero g_i, since no
+    factor is common to all entries: each prime power p^e of L is the full
+    power of p in some den g_i, and g_i L = num g_i (L / den g_i) lacks p.
+    """
+    den = ONE
+    for g in gs:
+        den = uni_lcm(den, g.den)
+    return den.degree + max([0, *(g.num.degree - g.den.degree for g in gs if not g.is_zero())])
 
 
 def ngcd_slope(f: RationalFunction, g: RationalFunction) -> int:
@@ -82,11 +77,11 @@ def mgcd_slope(f: RationalFunction, g: RationalFunction) -> int:
 
 
 def tgcd_slope(f: RationalFunction, g: RationalFunction) -> int:
-    """Slope of T_[1:f:g] - T_[f:g], the gcd characteristic."""
+    """Slope of T_[1:f:g] - T_[f:g], the gcd characteristic, with T_[f:g] = T(f/g)."""
     if f.is_zero() and g.is_zero():
         raise ZeroDivisionError("gcd characteristic of the zero pair")
-    den, nums = _cleared((f, g))
-    return _rep_slope([den, *nums]) - _rep_slope(nums)
+    ratio = 0 if f.is_zero() or g.is_zero() else char_slope(f / g)
+    return map_char_slope((f, g)) - ratio
 
 
 @dataclass(frozen=True)
@@ -387,8 +382,8 @@ def _coprime_at_point(k: int, bases, plans) -> bool:
     values are nonzero and 2 gcd(N_F(x), N_G(x)) < x there is no such H:
     the reduced numerators of F(g^k) and G(g^k), N_F and N_G up to scalars,
     are coprime, so ``ngcd_slope`` is 0, and neither composed function
-    vanishes identically.  For polynomial f, g ``_cleared`` gives L = 1, so
-    ``tgcd_slope`` = ``_rep_slope([1, f, g]) - _rep_slope([f, g])`` =
+    vanishes identically.  For polynomial f, g the lcm L of the denominators
+    is 1, so ``tgcd_slope`` = max(deg f, deg g) - ``char_slope(f / g)`` =
     deg gcd(f, g) = ``ngcd_slope``: the row is 0 on either track.  This is
     GCDHEU's first point (Char, Geddes and Gonnet, JSC 1989) with the norms
     bounded from the bases, so neither N_F nor N_G is built.

@@ -56,9 +56,9 @@ class UniPoly:
         return _new((c.numerator,), c.denominator) if c else ZERO
 
     @staticmethod
-    def monomial(k: int, c: Scalar = 1) -> "UniPoly":
-        """c * z^k."""
-        return UniPoly([0] * k + [c])
+    def monomial(k: int) -> "UniPoly":
+        """z^k."""
+        return UniPoly([0] * k + [1])
 
     @property
     def coeffs(self) -> "tuple[Fraction, ...]":

@@ -456,10 +456,25 @@ def test_outdir_env_for_every_subcommand(argv, ext, tmp_path, capsys, monkeypatc
     assert run(argv) == code
     assert capsys.readouterr().out == ""
     assert (tmp_path / f"{argv[0]}.{ext}").read_bytes() == printed.encode()
+    # the one report: corpus cases write none under $TORIGCD_OUTDIR
+    assert [p.name for p in tmp_path.iterdir()] == [f"{argv[0]}.{ext}"]
 
 
 def _write_case(path, name, argv, expect=0):
     (path / name).write_text(json.dumps({"argv": argv, "expect_exit": expect}))
+
+
+def test_corpus_cases_write_only_their_own_out(tmp_path, capsys, monkeypatch):
+    cases, outdir, own = tmp_path / "cases", tmp_path / "outdir", tmp_path / "own" / "indep.json"
+    cases.mkdir()
+    _write_case(cases, "01_out.json", ["indep", "--g", "z", "--out", str(own)])
+    _write_case(cases, "02_plain.json", ["indep", "--g", "z+1"])
+    monkeypatch.setenv("TORIGCD_OUTDIR", str(outdir))
+    assert run(["corpus", str(cases)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(own.read_text())["independent"]
+    assert [p.name for p in outdir.iterdir()] == ["corpus.txt"]
+    assert (outdir / "corpus.txt").read_text().endswith("corpus: 2/2 passed\n")
 
 
 def test_corpus_aggregates(tmp_path, capsys):

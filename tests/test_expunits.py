@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from torigcd.errors import HypothesisError
+from torigcd import expunits
+from torigcd.errors import HypothesisError, UsageError
 from torigcd.expunits import (
     BorelPartition,
     ExpUnit,
@@ -15,9 +16,11 @@ from torigcd.expunits import (
     exp_asym_ratio,
     exp_char_slope,
     exp_ngcd_slope,
+    exp_slope_table,
     format_quad,
     parse_quad,
 )
+from torigcd.parsing import MAX_POWER_DEGREE
 
 
 def q(a, b=0, d=1):
@@ -172,11 +175,25 @@ def test_ngcd_slope_matches_zero_count():
             assert exp_ngcd_slope(a, b, k) == q(0)
 
 
-def test_asym_ratio_dichotomy():
+def test_asym_ratio_dichotomy(monkeypatch):
     for k in (1, 2, 9):
         assert exp_asym_ratio(q(1), q(Fraction(3, 2)), k) == q(Fraction(1, 3))
         assert exp_asym_ratio(q(1), q(0, 1, 2), k) == q(0)
         assert exp_asym_ratio(q(1), q(1), k) == q(1)
+    # the table's last column is exp_asym_ratio, and its row cap comes
+    # before any row is built
+    for a, b in ((q(1), q(Fraction(3, 2))), (q(0, 1, 2), q(-3, 2, 2)), (q(2), q(0, 1, 5))):
+        rows = exp_slope_table(a, b, 9)
+        assert [r[0] for r in rows] == list(range(1, 10))
+        assert [r[3] for r in rows] == [exp_asym_ratio(a, b, k) for k in range(1, 10)]
+
+    def unreached(*_):
+        raise AssertionError("a row was built before the cap check")
+
+    monkeypatch.setattr(expunits, "exp_ngcd_slope", unreached)
+    for k_max in (0, -1, MAX_POWER_DEGREE + 1):
+        with pytest.raises(UsageError, match="the row cap"):
+            exp_slope_table(q(1), q(Fraction(3, 2)), k_max)
 
 
 def test_borel_paired_cancellation():

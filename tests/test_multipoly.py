@@ -311,7 +311,7 @@ def _assert_canonical(F):
 @given(mpolys, mpolys, st.integers(0, 3), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5)))
 @settings(max_examples=120, deadline=None)
 def test_integer_form_is_canonical(a, b, k, c):
-    for F in (a, b, a + b, a - b, -a, a * b, a * c, a**k, a.mul_monomial((1, 0, 2), c),
+    for F in (a, b, a + b, a - b, -a, a * b, a * c, a**k, (a * c).mul_monomial((1, 0, 2)),
               homogenize(a, max(a.total_degree(), 0) + 1)):
         _assert_canonical(F)
     _assert_canonical(dehomogenize(homogenize(a, max(a.total_degree(), 0))))

@@ -364,17 +364,22 @@ def test_mgcd_at_infinity_via_valuation():
     assert mgcd_slope(f, g) == 1
 
 
-def _reduced_rep(fs, include_one):
-    """Reference: clear denominators by their lcm, then divide out the gcd."""
+def _cleared_entries(fs, include_one):
+    """Reference: the nonzero entries after clearing denominators by their lcm."""
     den = ONE
     for f in fs:
         den = uni_lcm(den, f.den)
     entries = [den] if include_one else []
     for f in fs:
         entries.append(f.num * exact_div(den, f.den))
-    nonzero = [e for e in entries if not e.is_zero()]
-    g = uni_gcd_list(nonzero)
-    return [exact_div(e, g) for e in nonzero]
+    return [e for e in entries if not e.is_zero()]
+
+
+def _reduced_rep(fs, include_one):
+    """Reference: clear denominators by their lcm, then divide out the gcd."""
+    entries = _cleared_entries(fs, include_one)
+    g = uni_gcd_list(entries)
+    return [exact_div(e, g) for e in entries]
 
 
 _FACTORS = [parse_unipoly(t) for t in ("z", "z-1", "z+2", "z^2+1", "2*z+3")]
@@ -407,6 +412,8 @@ def test_slopes_match_the_reduced_representation():
         fs = [_tuple_member(rng, shared) for _ in range(rng.randint(1, 4))]
         rep = _reduced_rep(fs, True)
         assert map_char_slope(fs) == max(e.degree for e in rep)
+        # the lemma map_char_slope rests on: L and the cleared numerators share no factor
+        assert uni_gcd_list(_cleared_entries(fs, True)).degree == 0
         f, g = fs[0], _tuple_member(rng, shared)
         if not (f.is_zero() and g.is_zero()):
             with_one = max(e.degree for e in _reduced_rep((f, g), True))
