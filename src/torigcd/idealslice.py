@@ -7,9 +7,10 @@ B1' = {F1 TM(F2) x^i : |i| = m-2d}, where TM is the trailing monomial of F2
 in a fixed monomial order.  Every element is a generator times a monomial,
 so the family is held as its multiplier exponents: F1 x^i lies in B1'
 exactly when TM(F2) divides x^i.  Its size is the closed form
-M = 2 C(m+n-d, n) - C(m+n-2d, n); verification reduces both the family and
-the full generating set to exact ranks.  All binomials with negative upper
-index evaluate to 0, which makes the m < 2d edge (empty B1') uniform.
+M = 2 C(m+n-d, n) - C(m+n-2d, n).  Verification eliminates the family once;
+the rank of the full generating set is that of the family's pivot rows
+together with B1'.  All binomials with negative upper index evaluate to 0,
+which makes the m < 2d edge (empty B1') uniform.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add
 from typing import List, Tuple
 
@@ -103,14 +103,15 @@ def slice_constants(m: int, n: int, d: int) -> SliceConstants:
     return SliceConstants(m=m, n=n, d=d, c=c, M=M, Mprime=Mprime, L=L)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisSlice:
     """The slice family, held as its generators and multiplier exponents.
 
     B1 and B2 are F1 x^i and F2 x^i over `multipliers` (degree m-d, in
     descending lex order), and `kept` lists the B1 multipliers outside B1';
     B1' is F1 x^i over the multipliers that `kept` leaves out.  B, built on
-    first access, is F1 x^i over `kept`, then F2 x^i over `multipliers`.
+    each access and not kept, is F1 x^i over `kept`, then F2 x^i over
+    `multipliers`.
     """
 
     m: int
@@ -125,7 +126,7 @@ class BasisSlice:
     multipliers: Tuple[Exponent, ...]
     kept: Tuple[Exponent, ...]
 
-    @cached_property
+    @property
     def B(self) -> Tuple[MultiPoly, ...]:
         return tuple(self.F1.mul_monomial(e) for e in self.kept) + tuple(
             self.F2.mul_monomial(e) for e in self.multipliers
@@ -192,7 +193,7 @@ def build_basis_slice(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BasisReport:
     """Rank verification of a constructed slice family."""
 
@@ -209,24 +210,25 @@ class BasisReport:
 def verify_basis(s: BasisSlice) -> BasisReport:
     """Check |B| = rank(B) = span-dim(B1 u B2) = M by exact row reduction.
 
-    The row of F x^i holds F's integer numerators shifted by i into the
-    degree-m columns, so it is F x^i times F's denominator and every rank
-    is that of the rational coefficient rows.
+    The row of F x^i maps each degree-m column to F's integer numerator
+    shifted there by i, so it is F x^i times F's denominator and every rank
+    is that of the rational coefficient rows.  B is eliminated once: rank_B
+    counts its pivot rows, and since they span B, span_dim is the rank of
+    those pivot rows together with the B1' rows, which B1 u B2 adds to B.
     """
     columns = {e: k for k, e in enumerate(monomials_of_degree(s.n + 1, s.m))}
 
-    def row(F: MultiPoly, i: Exponent) -> "list[int]":
-        out = [0] * len(columns)
-        for e, c in F.ints.items():
-            out[columns[tuple(map(add, e, i))]] = c
-        return out
+    def row(F: MultiPoly, i: Exponent) -> "dict[int, int]":
+        return {columns[tuple(map(add, e, i))]: c for e, c in F.ints.items()}
 
-    rows1 = {i: row(s.F1, i) for i in s.multipliers}
-    rows2 = [row(s.F2, i) for i in s.multipliers]
+    kept = set(s.kept)
+    pivots = linalg.row_basis(
+        [row(s.F1, i) for i in s.kept] + [row(s.F2, i) for i in s.multipliers]
+    )
+    rank_B = len(pivots)
+    span_dim = linalg.rank(pivots + [row(s.F1, i) for i in s.multipliers if i not in kept])
     M = slice_constants(s.m, s.n, s.d).M
-    rank_B = linalg.rank([rows1[i] for i in s.kept] + rows2)
-    span_dim = linalg.rank(list(rows1.values()) + rows2)
-    size = len(s.kept) + len(rows2)
+    size = len(s.kept) + len(s.multipliers)
     return BasisReport(
         m=s.m,
         n=s.n,
@@ -239,7 +241,7 @@ def verify_basis(s: BasisSlice) -> BasisReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumFormulaRow:
     family: str
     var_index: int
@@ -247,7 +249,7 @@ class SumFormulaRow:
     expected: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SumFormulaReport:
     rows: Tuple[SumFormulaRow, ...]
     passed: bool

@@ -15,6 +15,7 @@ from .intpoly_py import (
     gcd_cofactors,
     mul,
     normalize,
+    pivot_rows,
     primitive_part,
     pseudo_divmod,
 )

@@ -6,10 +6,12 @@ of the package: univariate products, exact and pseudo-quotients, gcds
 and their cofactors (GCDHEU of Char, Geddes and Gonnet, JSC 1989, over an
 unbounded sequence of evaluation points, which always ends) and exact ranks.
 
-``bareiss_rank`` reads each dense row of ints or Fractions once, clearing
-its denominators, and updates only the rows whose pivot-column entry is
-nonzero.  It keeps the name of the Bareiss elimination it replaced, so
-benchmark records stay comparable across versions.
+``pivot_rows`` eliminates rows given as maps from column to int or as
+dense lists of ints or Fractions, reading each row once and clearing a
+dense row's denominators, and updates only the rows whose pivot-column
+entry is nonzero.  ``bareiss_rank`` counts its pivot rows; it keeps the
+name of the Bareiss elimination it replaced, so benchmark records stay
+comparable across versions.
 """
 
 from __future__ import annotations
@@ -207,40 +209,57 @@ def exact_quotient(a: IntPoly, b: IntPoly) -> "IntPoly | None":
     return quot
 
 
-def bareiss_rank(rows: List[list]) -> int:
-    """Exact rank of dense int or Fraction rows by fraction-free elimination.
+def bareiss_rank(rows: list) -> int:
+    """Exact rank of the rows ``pivot_rows`` takes: the number of its pivot rows."""
+    return len(pivot_rows(rows))
 
-    Each row is read once into a map from column to nonzero entry, scaled
-    by the lcm of its denominators if it has a Fraction entry, and filed
-    under its leading column.  Columns are taken left to right; the rows
-    filed under a column are the ones with a nonzero entry there (their
-    head), and the sparsest of them, the one ending first among equals,
-    becomes the pivot.  Only those rows are touched: each becomes
-    (p/g)*row - (h/g)*pivot, with p the pivot's head, h the row's head and
-    g = gcd(p, h), is divided by its content and filed again under its new
-    leading column; rows that vanish are dropped.  A nonzero multiple of a
-    row plus a multiple of another keeps the row space over Q, so the rank,
-    the number of pivots, is exact.  A sparse matrix thus costs work in
+
+def pivot_rows(rows: list) -> "list[dict[int, int]]":
+    """The pivot rows of a fraction-free elimination of `rows`, one per rank.
+
+    A row is a map from column index to int, where zero entries may be
+    left out, or a dense list of int or Fraction entries.  Each row is read
+    once into a map from column to nonzero int entry, a dense row scaled by
+    the lcm of its denominators if it has a Fraction entry, and filed under
+    its leading column.  Columns are taken left to right; the rows filed
+    under a column are the ones with a nonzero entry there (their head),
+    and the sparsest of them, the one ending first among equals, becomes
+    the pivot.  Only those rows are touched: each becomes
+    (p/g)*row - (h/g)*pivot, negated when p/g = -1, with p the pivot's head,
+    h the row's head and g = gcd(p, h), is divided by its content and filed
+    again under its new leading column; rows that vanish are dropped.  A
+    nonzero multiple of a row plus a multiple of another keeps the row
+    space over Q, so the pivot rows, one per leading column in increasing
+    order, span it and are independent.  A sparse matrix thus costs work in
     proportion to the rows each pivot changes, not to rows times columns.
     The rows are not modified.
     """
-    ncols = len(rows[0]) if rows else 0
-    by_lead: "list[list[dict[int, int]] | None]" = [[] for _ in range(ncols)]
+    maps = []
     for row in rows:
-        entries = {c: x for c, x in enumerate(row) if x}
-        if any(type(x) is not int for x in entries.values()):
-            den = math.lcm(*(x.denominator for x in entries.values()))
-            entries = {c: x.numerator * (den // x.denominator) for c, x in entries.items()}
+        if isinstance(row, dict):
+            entries = dict(row) if all(row.values()) else {c: x for c, x in row.items() if x}
+        else:
+            entries = {c: x for c, x in enumerate(row) if x}
+            if any(type(x) is not int for x in entries.values()):
+                den = math.lcm(*(x.denominator for x in entries.values()))
+                entries = {c: x.numerator * (den // x.denominator) for c, x in entries.items()}
         if entries:
-            by_lead[next(iter(entries))].append(entries)
-    rank = 0
+            maps.append(entries)
+    ncols = 1 + max(map(max, maps), default=-1)
+    by_lead: "list[list[dict[int, int]] | None]" = [[] for _ in range(ncols)]
+    for entries in maps:
+        by_lead[min(entries)].append(entries)
+    pivots = []
     for pc in range(ncols):
         heads = by_lead[pc]
         by_lead[pc] = None  # every row filed later leads further right
         if not heads:
             continue
-        rank += 1
-        pivot = min(heads, key=lambda r: (len(r), max(r)))
+        pivot = heads[0]
+        if len(heads) > 1:
+            fewest = min(map(len, heads))
+            pivot = min((r for r in heads if len(r) == fewest), key=max)
+        pivots.append(pivot)
         p = pivot[pc]
         for row in heads:
             if row is pivot:
@@ -248,7 +267,12 @@ def bareiss_rank(rows: List[list]) -> int:
             h = row[pc]
             g = math.gcd(p, h)
             a, b = p // g, h // g
-            new = {c: a * x for c, x in row.items()}
+            if a == 1 or a == -1:
+                # row - a*b*pivot = a*(a*row - b*pivot) needs no scaling,
+                # and the row is this elimination's own copy: update it in place
+                new, b = row, b * a
+            else:
+                new = {c: a * x for c, x in row.items()}
             for c, y in pivot.items():
                 v = new.get(c, 0) - b * y
                 if v:
@@ -260,4 +284,4 @@ def bareiss_rank(rows: List[list]) -> int:
                 if g != 1:
                     new = {c: x // g for c, x in new.items()}
                 by_lead[min(new)].append(new)
-    return rank
+    return pivots

@@ -1,11 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Ranks hand dense rows of Fraction or int entries, unchanged, to the
-kernel's fraction-free elimination (``kernel.bareiss_rank``), which clears
-each row's denominators as it reads the row and touches only the rows each
-pivot changes; sparse slice matrices rank in time proportional to that
-fill.  Independence certificates (``pivots_or_relation``) take int rows
-and stay in integer arithmetic throughout.
+Ranks and row bases hand their rows, unchanged, to the kernel's
+fraction-free elimination (``kernel.bareiss_rank``, ``kernel.pivot_rows``).
+A row is a map from column index to int, as slices build them, or a dense
+list of Fraction or int entries; the kernel clears a dense row's
+denominators as it reads the row and touches only the rows each pivot
+changes, so sparse slice matrices rank in time proportional to that fill.
+Independence certificates (``pivots_or_relation``) take int rows and stay
+in integer arithmetic throughout.
 """
 
 from __future__ import annotations
@@ -16,9 +18,19 @@ from typing import Sequence
 from . import kernel
 
 
-def rank(rows: Sequence[Sequence]) -> int:
+def rank(rows: Sequence) -> int:
     """Exact rank via fraction-free elimination in the integer kernel."""
     return kernel.bareiss_rank(rows)
+
+
+def row_basis(rows: Sequence) -> "list[dict[int, int]]":
+    """Independent int rows, as maps from column to entry, spanning `rows` over Q.
+
+    They are the kernel elimination's pivot rows, so there are rank(rows)
+    of them, and the rank of any rows together with them equals the rank of
+    those rows together with `rows`.
+    """
+    return kernel.pivot_rows(rows)
 
 
 def pivots_or_relation(rows: Sequence[Sequence[int]]) -> "tuple[bool, list[int]]":

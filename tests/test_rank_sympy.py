@@ -5,11 +5,16 @@ package feeds it (sparse monomial shifts of few-term forms, as in a
 Macaulay matrix) and on shapes it must survive: dense rows, planted
 dependent rows, zero rows and columns, wide and tall matrices, coefficients
 of about 200 bits, negative pivots, and rows mixing ints and Fractions.
-`verify_basis` is checked against sympy's rank of the slice family B on
-random cells.
+Every shape is ranked a second time as {column: int} maps with shuffled
+keys, some explicit zero entries and empty maps, and the pivot rows of that
+elimination (`kernel.pivot_rows`) must be independent and span the rows.
+`verify_basis` is checked against sympy's ranks of the slice family B and
+of B1 u B2 on random cells, and on corrupted slices where the two differ.
 """
 
+import dataclasses
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,9 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torigcd.idealslice import build_basis_slice, slice_constants, verify_basis
-from torigcd.kernel import bareiss_rank
+from torigcd.kernel import bareiss_rank, pivot_rows
 from torigcd.multipoly import MultiPoly
-from torigcd.randgen import random_coprime_pair
+from torigcd.randgen import random_coprime_pair, random_homogeneous
 
 sympy = pytest.importorskip("sympy")
 
@@ -33,10 +38,43 @@ def sympy_rank(rows) -> int:
     return sympy.Matrix(rows).rank()
 
 
+def as_maps(rows, rnd):
+    """The rows as {column: int} maps in shuffled key order.
+
+    A row with Fraction entries is scaled by the lcm of their denominators,
+    which keeps the rank.  About a third of the zero entries stay in as
+    explicit zeros, and an empty map is inserted half of the time.
+    """
+    maps = []
+    for row in rows:
+        den = math.lcm(*(Fraction(x).denominator for x in row))
+        items = [(c, int(x * den)) for c, x in enumerate(row) if x or rnd.random() < 0.3]
+        rnd.shuffle(items)
+        maps.append(dict(items))
+    if rnd.random() < 0.5:
+        maps.insert(rnd.randint(0, len(maps)), {})
+    return maps
+
+
+def check_maps(rows, rank):
+    """The rows as maps have the same rank, and their pivot rows span them.
+
+    The shuffle is seeded by the rows, so a failing example replays.
+    """
+    maps = as_maps(rows, random.Random(repr(rows)))
+    copy = [list(m.items()) for m in maps]
+    assert bareiss_rank(maps) == rank
+    pivots = pivot_rows(maps)
+    assert [list(m.items()) for m in maps] == copy  # the input maps are not modified
+    assert len(pivots) == rank == bareiss_rank(pivots) == bareiss_rank(pivots + maps)
+
+
 def check(rows):
     copy = [list(row) for row in rows]
-    assert bareiss_rank(rows) == sympy_rank(rows)
+    rank = bareiss_rank(rows)
+    assert rank == sympy_rank(rows)
     assert rows == copy  # the input rows are not modified
+    check_maps(rows, rank)
 
 
 def matrices(entries, max_rows=9, max_cols=9):
@@ -130,6 +168,7 @@ def test_planted_dependent_rows(rows):
     rank = bareiss_rank(rows)
     assert rank == sympy_rank(rows)
     assert rank <= min(len(rows), len(rows[0]))
+    check_maps(rows, rank)
 
 
 @settings(max_examples=100, deadline=None)
@@ -199,6 +238,14 @@ def _rows(polys, columns):
     return rows
 
 
+def sympy_ranks(s):
+    """(rank of B, rank of B1 u B2) by sympy on the dense rational rows of the slice."""
+    columns = {e: i for i, e in enumerate(monomials(s.n + 1, s.m))}
+    shifts = [MultiPoly.monomial(s.n + 1, e) for e in s.multipliers]
+    span = [F * x for F in (s.F1, s.F2) for x in shifts]
+    return sympy_rank(_rows(s.B, columns)), sympy_rank(_rows(span, columns))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(CELLS), st.integers(0, 2**32))
 def test_verify_basis_matches_sympy_rank(cell, seed):
@@ -206,9 +253,30 @@ def test_verify_basis_matches_sympy_rank(cell, seed):
     F1, F2 = random_coprime_pair(random.Random(seed), n + 1, d)
     s = build_basis_slice(F1, F2, m)
     report = verify_basis(s)
-    columns = {e: i for i, e in enumerate(monomials(n + 1, m))}
-    shifts = [MultiPoly.monomial(n + 1, e) for e in monomials(n + 1, m - d)]
-    span = [F * x for F in (s.F1, s.F2) for x in shifts]
-    assert report.rank_B == sympy_rank(_rows(s.B, columns))
-    assert report.span_dim == sympy_rank(_rows(span, columns))
+    assert (report.rank_B, report.span_dim) == sympy_ranks(s)
     assert report.passed and report.M == len(s.B)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(CELLS), st.integers(0, 2**32))
+def test_verify_basis_ranks_that_differ(cell, seed):
+    # span_dim is ranked from B's pivot rows, which a valid slice cannot
+    # tell apart from B's rows: there rank_B = span_dim = M
+    n, d, m = cell
+    rng = random.Random(seed)
+    F1, F2 = random_coprime_pair(rng, n + 1, d)
+    s = build_basis_slice(F1, F2, m)
+    # one kept multiplier dropped: B loses a row that B1' does not restore
+    dropped = dataclasses.replace(s, kept=s.kept[:-1])
+    report = verify_basis(dropped)
+    assert (report.rank_B, report.span_dim) == sympy_ranks(dropped)
+    assert report.rank_B == report.M - 1 and report.span_dim == report.M
+    # generators with a shared linear factor, past the coprimality gate: the
+    # relations (G2, -G1) x^j reach the slice once m >= 2d - 1
+    L = random_homogeneous(rng, n + 1, 1)
+    G1, G2 = random_homogeneous(rng, n + 1, d - 1), random_homogeneous(rng, n + 1, d - 1)
+    shared = dataclasses.replace(s, F1=L * G1, F2=L * G2)
+    report = verify_basis(shared)
+    assert (report.rank_B, report.span_dim) == sympy_ranks(shared)
+    if m >= 2 * d - 1:
+        assert report.span_dim < report.M and not report.passed
