@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import add
 from typing import List, Tuple
 
-from . import linalg
+from . import kernel, linalg
 from .errors import HypothesisError, UsageError
 from .multipoly import MultiPoly, coprime_multivariate, format_multipoly
 from .ordering import LEX, MonomialOrder, trailing_monomial
@@ -222,7 +222,7 @@ def verify_basis(s: BasisSlice) -> BasisReport:
         return {columns[tuple(map(add, e, i))]: c for e, c in F.ints.items()}
 
     kept = set(s.kept)
-    pivots = linalg.row_basis(
+    pivots = kernel.pivot_rows(
         [row(s.F1, i) for i in s.kept] + [row(s.F2, i) for i in s.multipliers]
     )
     rank_B = len(pivots)

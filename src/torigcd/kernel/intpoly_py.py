@@ -9,9 +9,12 @@ unbounded sequence of evaluation points, which always ends) and exact ranks.
 ``pivot_rows`` eliminates rows given as maps from column to int or as
 dense lists of ints or Fractions, reading each row once and clearing a
 dense row's denominators, and updates only the rows whose pivot-column
-entry is nonzero.  ``bareiss_rank`` counts its pivot rows; it keeps the
-name of the Bareiss elimination it replaced, so benchmark records stay
-comparable across versions.
+entry is nonzero.  It is the package's one fraction-free elimination:
+slice ranks read its pivot rows, and independence certificates
+(``linalg.pivots_or_relation``) read relations off the pivot rows of int
+rows with a unit tail appended.  ``bareiss_rank`` counts its pivot rows;
+it keeps the name of the Bareiss elimination it replaced, so benchmark
+records stay comparable across versions.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Ranks and row bases hand their rows, unchanged, to the kernel's
-fraction-free elimination (``kernel.bareiss_rank``, ``kernel.pivot_rows``).
-A row is a map from column index to int, as slices build them, or a dense
-list of Fraction or int entries; the kernel clears a dense row's
-denominators as it reads the row and touches only the rows each pivot
+Ranks and independence certificates run on one elimination, the kernel's
+fraction-free ``kernel.pivot_rows`` (``kernel.bareiss_rank`` counts its
+pivot rows).  A row is a map from column index to int, as slices build
+them, or a dense list of Fraction or int entries; the kernel clears a dense
+row's denominators as it reads the row and touches only the rows each pivot
 changes, so sparse slice matrices rank in time proportional to that fill.
-Independence certificates (``pivots_or_relation``) take int rows and stay
-in integer arithmetic throughout.
+``pivots_or_relation`` appends a unit tail to each int row, so the pivot
+rows that vanish on the rows' own columns carry integer relations.
 """
 
 from __future__ import annotations
@@ -23,49 +23,30 @@ def rank(rows: Sequence) -> int:
     return kernel.bareiss_rank(rows)
 
 
-def row_basis(rows: Sequence) -> "list[dict[int, int]]":
-    """Independent int rows, as maps from column to entry, spanning `rows` over Q.
-
-    They are the kernel elimination's pivot rows, so there are rank(rows)
-    of them, and the rank of any rows together with them equals the rank of
-    those rows together with `rows`.
-    """
-    return kernel.pivot_rows(rows)
-
-
 def pivots_or_relation(rows: Sequence[Sequence[int]]) -> "tuple[bool, list[int]]":
     """(True, pivot columns) for independent int rows, else (False, relation).
 
-    Rows are taken in order and each is reduced, fraction-free, against the
-    echelon rows kept so far, oldest first, carrying its integer combination
-    of the input rows along.  Each kept row is zero at the leading columns
-    of the rows kept before it, so a reduced row is zero at all of them: a
-    row that survives brings a new leading column, and the leading columns
-    are those of the row space, the pivot columns of its reduced echelon
-    form, returned in increasing order.  A row that vanishes lies in the
-    span of the rows before it, which are independent, so its combination
-    is their unique relation up to scale; it is returned primitive, with
-    its first nonzero entry positive.
+    Row i of n rows of width w is eliminated with a unit entry appended at
+    column w + n - 1 - i, so every pivot row is some combination of the
+    input rows that carries its coefficients in that tail.  Pivot rows
+    leading left of w lead at the pivot columns of the rows' reduced echelon
+    form, returned in increasing order; the rows are independent when there
+    are n of them.  A pivot row leading at or past w is zero on the first w
+    columns, so its tail is a relation, and the one leading furthest right
+    involves only the rows up to the first one in the span of those before
+    it.  Those earlier rows are independent, so that relation is unique up
+    to scale; it is returned primitive, with its first nonzero entry positive.
     """
     n = len(rows)
-    # (leading column, reduced row, its combination of the input rows)
-    echelon: "list[tuple[int, list[int], list[int]]]" = []
-    for i, row in enumerate(rows):
-        r = list(row)
-        comb = [int(j == i) for j in range(n)]
-        for lead, e, ecomb in echelon:
-            h = r[lead]
-            if h:
-                g = math.gcd(e[lead], h)
-                a, b = e[lead] // g, h // g
-                r = [a * x - b * y for x, y in zip(r, e)]
-                comb = [a * x - b * y for x, y in zip(comb, ecomb)]
-        lead = next((c for c, x in enumerate(r) if x), None)
-        if lead is None:
-            g = math.gcd(*comb)
-            if next(x for x in comb if x) < 0:
-                g = -g
-            return False, [x // g for x in comb]
-        g = math.gcd(*r, *comb)
-        echelon.append((lead, [x // g for x in r], [x // g for x in comb]))
-    return True, sorted(lead for lead, _, _ in echelon)
+    w = max(map(len, rows), default=0)
+    tail = w + n - 1
+    pivots = kernel.pivot_rows(
+        [{**{c: x for c, x in enumerate(row) if x}, tail - i: 1} for i, row in enumerate(rows)]
+    )
+    if not pivots or min(pivots[-1]) < w:
+        return True, [min(p) for p in pivots]
+    relation = [pivots[-1].get(tail - i, 0) for i in range(n)]
+    g = math.gcd(*relation)
+    if next(x for x in relation if x) < 0:
+        g = -g
+    return False, [x // g for x in relation]

@@ -137,7 +137,7 @@ class IndependenceCertificate:
 
     Independent inputs carry the rank-n pivot profile; dependent inputs carry
     a primitive integer witness w with prod g_i^{w_i} constant, re-verified
-    by substitution before the certificate is issued.
+    over the basis before the certificate is issued.
     """
 
     independent: bool
@@ -159,12 +159,30 @@ class IndependenceCertificate:
 
 
 def _witness_is_constant(
-    gs: Sequence[RationalFunction], witness: Sequence[int]
+    gs: Sequence[RationalFunction],
+    basis: Sequence[UniPoly],
+    rows: Sequence[Sequence[int]],
+    witness: Sequence[int],
 ) -> bool:
-    prod = RationalFunction.constant(1)
-    for g, e in zip(gs, witness):
-        prod = prod * g**e
-    return prod.is_constant()
+    """True when the nonzero witness provably makes prod g_i^{w_i} constant.
+
+    The product is never built.  Each g_i's numerator, made monic, and its
+    denominator are multiplied back from the positive and the negative
+    entries of its row over the basis, so g_i = c_i * prod_j b_j^{row_ij};
+    then sum_i w_i * row_i = 0 in integers leaves prod g_i^{w_i} = prod c_i^{w_i}.
+    """
+    for g, row in zip(gs, rows):
+        num = den = ONE
+        for b, e in zip(basis, row):
+            if e > 0:
+                num = num * b**e
+            elif e < 0:
+                den = den * b**-e
+        if num != g.num.monic() or den != g.den:
+            return False
+    return any(witness) and not any(
+        sum(w * row[j] for w, row in zip(witness, rows)) for j in range(len(rows[0]))
+    )
 
 
 def mult_independent(gs: Sequence[RationalFunction]) -> IndependenceCertificate:
@@ -182,7 +200,7 @@ def mult_independent(gs: Sequence[RationalFunction]) -> IndependenceCertificate:
     basis = coprime_basis([p for g in gs for p in (g.num, g.den)])
     rows = [divisor_vector(g, basis).exponents for g in gs]
     independent, found = linalg.pivots_or_relation(rows)
-    if not independent and not _witness_is_constant(gs, found):
+    if not independent and not _witness_is_constant(gs, basis, rows, found):
         raise AssertionError("dependence witness failed verification")
     return IndependenceCertificate(
         independent=independent,

@@ -273,9 +273,9 @@ def coprime_basis(ps: Sequence[UniPoly]) -> "tuple[UniPoly, ...]":
     """Gcd-free basis: pairwise-coprime monic squarefree nonconstant polynomials.
 
     Every input is a rational constant times a product of integer powers of
-    basis elements.  Seeding the refinement with squarefree layers keeps all
-    outputs squarefree, so they double as finite places.  Output order is
-    degree, then coefficient tuple.
+    basis elements.  Seeding the refinement with the inputs' Yun factors
+    keeps all outputs squarefree, so they double as finite places.  Output
+    order is degree, then coefficient tuple.
     """
     pending = []
     for p in ps:

@@ -360,20 +360,34 @@ def is_squarefree(p: UniPoly) -> bool:
 
 
 def squarefree_parts(p: UniPoly) -> "list[UniPoly]":
-    """Monic squarefree layers whose product is p up to a constant.
+    """The nonconstant monic Yun factors a_i of p, in increasing i.
 
-    Peels the radical repeatedly: each layer is squarefree and contains every
-    irreducible factor still present, so multiplicities are preserved across
-    the whole list (a factor of multiplicity e appears in e layers).
+    p = c * prod a_i^i with a_i squarefree and pairwise coprime: a_i is the
+    product of the irreducible factors of multiplicity exactly i.  Yun's
+    algorithm (SYMSAC 1976) starts from b = p / gcd(p, p') and
+    c = p' / gcd(p, p'); at step i, d = c - b' is zero exactly when every
+    factor left in b has multiplicity i, so b is the last factor, and
+    otherwise a_i = gcd(b, d), b <- b / a_i and c <- d / a_i.  So it runs
+    one gcd of high degree and then one per multiplicity, each against the
+    shrinking squarefree b.
     """
     if p.is_zero():
         raise ZeroDivisionError("squarefree parts of the zero polynomial")
     p = p.monic()
+    if p.degree < 1:
+        return []
+    g, b, c = uni_gcd_cofactors(p, p.derivative())
+    if g.degree < 1:  # p is squarefree
+        return [p]
     parts = []
-    while p.degree > 0:
-        reduced, layer, _ = uni_gcd_cofactors(p, p.derivative())
-        parts.append(layer)
-        p = reduced
+    while b.degree > 0:
+        d = c - b.derivative()
+        if d.is_zero():
+            parts.append(b)
+            break
+        a, b, c = uni_gcd_cofactors(b, d)
+        if a.degree > 0:
+            parts.append(a)
     return parts
 
 

@@ -208,6 +208,36 @@ def test_witness_yields_constant():
         assert prod.is_constant()
 
 
+def test_high_power_pair_witness():
+    # prod g_i^{w_i} = (z+1)^(40*37 - 37*40) is never built: the witness is
+    # checked over the basis (z+1)
+    cert = mult_independent([rf("(z+1)^37"), rf("(z+1)^40")])
+    assert cert.witness == (40, -37)
+    assert cert.matrix == ((37, -37), (40, -40))
+
+
+@pytest.mark.parametrize(
+    "gs, forged",
+    [
+        (["z", "z+1"], [1, 1]),  # independent inputs, any relation is false
+        (["z^2", "z^3"], [1, -1]),  # dependent inputs, the wrong relation
+        (["z^2", "z^3"], [0, 0]),  # the trivial relation proves nothing
+    ],
+)
+def test_forged_relation_fails_verification(monkeypatch, gs, forged):
+    monkeypatch.setattr(nevandeg.linalg, "pivots_or_relation", lambda rows: (False, forged))
+    with pytest.raises(AssertionError, match="witness failed verification"):
+        mult_independent([rf(g) for g in gs])
+
+
+def test_witness_check_rebuilds_each_row():
+    gs = [rf("z^2"), rf("z^3")]
+    basis = coprime_basis([g.num for g in gs])
+    assert nevandeg._witness_is_constant(gs, basis, [(2, -2), (3, -3)], [3, -2])
+    # a row that does not rebuild its g is caught, though the relation holds on it
+    assert not nevandeg._witness_is_constant(gs, basis, [(2, -2), (2, -2)], [1, -1])
+
+
 def _shifted_config(**kw):
     return SweepConfig(
         F=parse_multipoly("x1-1", 2, first_index=1),
