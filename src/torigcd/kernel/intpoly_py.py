@@ -112,7 +112,11 @@ def gcd_cofactors(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly, IntPoly]":
     point on, x >= 2*min(|a|, |b|) + 2 (max norms), such a candidate is the
     gcd (Char, Geddes and Gonnet, JSC 1989).  The divisibility check
     computes a/h and b/h; scaled by the signed contents f/a and g/b they are
-    the cofactors, so h * (f/h) == f and h * (g/h) == g hold exactly.
+    the cofactors, so h * (f/h) == f and h * (g/h) == g hold exactly.  A
+    value gcd v with 2*v <= x is a single balanced digit, so its candidate
+    is 1, which divides both: f and g are coprime, and no interpolation is
+    needed.  Larger values spell at least two digits.  (v >= 1, since by
+    Cauchy's bound the input of smaller norm has no root at x.)
 
     The loop ends.  Write a = G*a', b = G*b' with G = gcd(a, b).  Then
     gcd(a(x), b(x)) = |G(x)| * c with c = gcd(a'(x), b'(x)), and c divides
@@ -133,9 +137,10 @@ def gcd_cofactors(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly, IntPoly]":
     if not b:
         return a, [f[-1] // a[-1]], []
     for x in _heu_points(a, b):
-        h = primitive_part(_interpolate(math.gcd(_evaluate(a, x), _evaluate(b, x)), x))
-        if len(h) == 1:
-            return h, list(f), list(g)
+        v = math.gcd(_evaluate(a, x), _evaluate(b, x))
+        if 2 * v <= x:
+            return [1], list(f), list(g)
+        h = primitive_part(_interpolate(v, x))
         qa = exact_quotient(a, h)
         if qa is None:
             continue

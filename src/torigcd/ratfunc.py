@@ -9,6 +9,7 @@ factorization, never via factorization into irreducibles.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -247,16 +248,36 @@ def place_multiplicity(p: UniPoly, place_poly: UniPoly) -> int:
     The place must divide p to some exact power: after dividing out all full
     copies, the cofactor must be coprime to the place, otherwise the
     multiplicity is not well defined and the input is rejected.
+
+    A nonzero constant p has multiplicity 0.  A place irreducible over Q
+    needs no coprimality test: gcd(cofactor, place) is a monic divisor of
+    the place other than itself, since the place no longer divides the
+    cofactor, so it is 1.  Linear places are irreducible, and so are
+    quadratics whose discriminant is not a square.
     """
     if p.is_zero():
         raise ZeroDivisionError("multiplicity of the zero polynomial")
+    if p.is_constant() and place_poly.degree >= 1:
+        return 0
     e, p = divide_out(p, place_poly)
-    if not uni_gcd(p, place_poly).is_constant():
+    if not _irreducible(place_poly) and not uni_gcd(p, place_poly).is_constant():
         raise HypothesisError(
             "place polynomial overlaps the argument only partially",
             {"place": format_unipoly(place_poly)},
         )
     return e
+
+
+def _irreducible(q: UniPoly) -> bool:
+    """Whether q is linear, or quadratic with a non-square discriminant: both irreducible over Q."""
+    if q.degree == 1:
+        return True
+    if q.degree != 2:
+        return False
+    # the integer numerators' discriminant is den^2 times q's, a square iff q's is
+    c0, c1, c2 = q.ints
+    disc = c1 * c1 - 4 * c0 * c2
+    return disc < 0 or math.isqrt(disc) ** 2 != disc
 
 
 def valuation(f: RationalFunction, pl: Place) -> int:

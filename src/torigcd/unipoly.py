@@ -356,6 +356,8 @@ def is_squarefree(p: UniPoly) -> bool:
     """True iff p is nonconstant with no repeated factor."""
     if p.degree < 1:
         return False
+    if p.degree == 1:
+        return True
     return uni_gcd(p, p.derivative()).is_constant()
 
 

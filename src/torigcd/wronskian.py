@@ -8,8 +8,8 @@ The determinant scales each column of that polynomial matrix to integer
 coefficients and runs fraction-free (Bareiss) elimination on integer
 polynomials, where every division is exact; the column scales and the
 product of the q_i^M are divided back out in one reduction.  W is built
-once per tuple: a memo of the last tuple serves ordw_check at every place
-of it.
+and formatted once per tuple: a memo of the last tuple holds W and its
+text for ordw_check at every place of it.
 
 The local checks are exact valuation inequalities at one place:
   ordw_check:  sum_j v+(eta_j) - M(M-1)/2  <=  v+(W(eta))
@@ -83,14 +83,15 @@ def wronskian(fs: Sequence[RationalFunction]) -> RationalFunction:
     """W(f_1, ..., f_M); zero exactly when the tuple is linearly dependent."""
     if not fs:
         raise ValueError("need at least one function")
-    return _wronskian(tuple(fs))
+    return _wronskian(tuple(fs))[0]
 
 
 @functools.lru_cache(maxsize=1)
-def _wronskian(fs: "tuple[RationalFunction, ...]") -> RationalFunction:
-    # One tuple only: ordw_check at every place of a tuple builds W once,
-    # and no W outlives the next tuple.  The key compares exactly by value
-    # and W is immutable, so a hit is what a rebuild would return.
+def _wronskian(fs: "tuple[RationalFunction, ...]") -> "tuple[RationalFunction, str]":
+    # (W, W's text) for one tuple only: ordw_check at every place of a
+    # tuple builds and formats W once, and no W outlives the next tuple.
+    # The key compares exactly by value and W is immutable, so a hit is
+    # what a rebuild would return.
     M = len(fs)
     rows = _derivative_rows(fs)
     # clear column i by q_i^M: every entry d^j f_i has denominator dividing
@@ -100,7 +101,8 @@ def _wronskian(fs: "tuple[RationalFunction, ...]") -> RationalFunction:
         [entry.num * exact_div(c, entry.den) for entry, c in zip(row, clear)]
         for row in rows
     ]
-    return RationalFunction(_poly_det(poly_m), math.prod(clear, start=UniPoly.constant(1)))
+    W = RationalFunction(_poly_det(poly_m), math.prod(clear, start=UniPoly.constant(1)))
+    return W, format_ratfunc(W)
 
 
 def _vplus(f: RationalFunction, pl: Place) -> int:
@@ -144,7 +146,7 @@ def ordw_check(etas: Sequence[RationalFunction], pl: Place) -> LocalCheckReport:
         if f.is_zero():
             raise HypothesisError("local data of the zero function", {"index": j, "eta": "0"})
     lhs = sum(_vplus(f, pl) for f in etas) - M * (M - 1) // 2
-    W = _wronskian(tuple(etas))
+    W, text = _wronskian(tuple(etas))
     vacuous = W.is_zero()
     rhs = 0 if vacuous else _vplus(W, pl)
     return LocalCheckReport(
@@ -154,7 +156,7 @@ def ordw_check(etas: Sequence[RationalFunction], pl: Place) -> LocalCheckReport:
         rhs=rhs,
         passed=vacuous or lhs <= rhs,
         vacuous=vacuous,
-        info={"wronskian": format_ratfunc(W), "M": M},
+        info={"wronskian": text, "M": M},
     )
 
 

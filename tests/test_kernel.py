@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torigcd import unipoly
 from torigcd.kernel import intpoly_py
 
 
@@ -290,3 +291,74 @@ def test_gcd_cofactors_at_high_degree_match_sympy(seed, shared):
     F, G = (sympy.Poly(list(reversed(a)), x, domain="ZZ") for a in (f, g))
     expected = [int(c) for c in reversed(F.gcd(G).primitive()[1].all_coeffs())]
     assert h in (expected, [-c for c in expected])
+
+
+def _gcd_cofactors_by_interpolation(f, g):
+    """GCDHEU that interpolates every value gcd, even a single digit."""
+    K = intpoly_py
+    if len(f) == 1 or len(g) == 1:
+        return [1], list(f), list(g)
+    a, b = K.primitive_part(f), K.primitive_part(g)
+    if not a:
+        return b, [], [g[-1] // b[-1]]
+    if not b:
+        return a, [f[-1] // a[-1]], []
+    for x in K._heu_points(a, b):
+        h = K.primitive_part(K._interpolate(math.gcd(K._evaluate(a, x), K._evaluate(b, x)), x))
+        if len(h) == 1:
+            return h, list(f), list(g)
+        qa, qb = K.exact_quotient(a, h), K.exact_quotient(b, h)
+        if qa is not None and qb is not None:
+            return h, K._scaled(qa, f[-1] // a[-1]), K._scaled(qb, g[-1] // b[-1])
+
+
+def _first_value_gcd(f, g):
+    """(v, x): the value gcd at GCDHEU's first point, and that point."""
+    K = intpoly_py
+    a, b = K.primitive_part(f), K.primitive_part(g)
+    x = next(K._heu_points(a, b))
+    return math.gcd(K._evaluate(a, x), K._evaluate(b, x)), x
+
+
+def test_gcd_cofactors_one_digit_exit_matches_interpolation():
+    # coprime pairs, pairs with a planted common factor, and pairs whose first
+    # value gcd v sits on the boundary 2*v == x of the one-digit exit
+    K = intpoly_py
+    rng = random.Random(409)
+    seen = {"coprime": 0, "shared": 0, "boundary": 0}
+    while min(seen.values()) < 40:
+        f = K.normalize(_rand_poly(rng, 5))
+        g = K.normalize(_rand_poly(rng, 5))
+        if rng.random() < 0.3:
+            w = K.normalize(_rand_poly(rng, 2))
+            f, g = K.mul(w, f), K.mul(w, g)
+        if rng.random() < 0.3:  # a zero at 0 makes x/2 divide the value
+            f = [0] + f
+        if len(f) < 2 or len(g) < 2:
+            continue
+        ours = K.gcd_cofactors(f, g)
+        assert ours == _gcd_cofactors_by_interpolation(f, g), (f, g)
+        v, x = _first_value_gcd(f, g)
+        seen["boundary"] += 2 * v == x
+        seen["coprime" if ours[0] == [1] else "shared"] += 1
+    assert K.gcd_cofactors([0, 1], [2, 1]) == ([1], [0, 1], [2, 1])
+    assert _first_value_gcd([0, 1], [2, 1]) == (2, 4)
+
+
+def test_linear_polynomials_are_squarefree(monkeypatch):
+    # a linear p is squarefree without a gcd; the gcd route agrees
+    rng = random.Random(419)
+    linear = [
+        unipoly.UniPoly(
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 7)), Fraction(rng.choice([-5, -1, 2, 3]), rng.randint(1, 7))]
+        )
+        for _ in range(50)
+    ]
+    for p in linear:
+        assert p.degree == 1 and unipoly.uni_gcd(p, p.derivative()).is_constant()
+
+    def no_gcd(p, q):
+        raise AssertionError("is_squarefree took a gcd of a linear polynomial")
+
+    monkeypatch.setattr(unipoly, "uni_gcd", no_gcd)
+    assert all(unipoly.is_squarefree(p) for p in linear)

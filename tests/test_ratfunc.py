@@ -1,5 +1,6 @@
 """Reduced rational functions, places, valuations, gcd-free bases."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 
 from torigcd.errors import HypothesisError
 from torigcd.parsing import parse_place, parse_ratfunc, parse_unipoly
-from torigcd.randgen import random_ratfunc
+from torigcd.randgen import random_ratfunc, random_unipoly
 from torigcd.ratfunc import (
     INFINITY,
     Place,
@@ -19,7 +20,7 @@ from torigcd.ratfunc import (
     place_multiplicity,
     valuation,
 )
-from torigcd.unipoly import ONE, UniPoly, uni_gcd
+from torigcd.unipoly import ONE, UniPoly, divide_out, uni_gcd
 
 rf = parse_ratfunc
 up = parse_unipoly
@@ -88,6 +89,86 @@ def test_place_multiplicity_and_partial_overlap():
     # dividing after one step, so the multiplicity is ill defined
     with pytest.raises(HypothesisError):
         place_multiplicity(up("z*(z-1)^2"), up("z^2-z"))
+
+
+def _multiplicity_by_gcd(p, place_poly):
+    """The overlap test on every place: divide out, then take the gcd."""
+    if p.is_zero():
+        raise ZeroDivisionError("multiplicity of the zero polynomial")
+    e, rest = divide_out(p, place_poly)
+    if not uni_gcd(rest, place_poly).is_constant():
+        raise HypothesisError(
+            "place polynomial overlaps the argument only partially",
+            {"place": str(place_poly)},
+        )
+    return e
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "certificate", None)
+
+
+def test_place_multiplicity_matches_the_gcd_route():
+    # places of every kind, as their linear or irreducible factors; p is a
+    # random cofactor times powers of some of those factors, so reducible
+    # places also meet arguments they overlap only partially
+    rng = random.Random(401)
+
+    def frac():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    def linear():
+        return UniPoly([frac(), rng.choice([1, -2, Fraction(1, 3)])])
+
+    def quadratic(negative):
+        # z^2 + b*z + c with a discriminant b^2 - 4c that is not a square
+        while True:
+            b, c = frac(), frac()
+            disc = b * b - 4 * c
+            n = disc.numerator * disc.denominator  # a square iff disc is
+            if (n < 0) == negative and n != 0 and math.isqrt(abs(n)) ** 2 != n:
+                return UniPoly([c, b, 1])
+
+    kinds = {
+        "linear": lambda: [linear()],
+        "quadratic, negative discriminant": lambda: [quadratic(True)],
+        "quadratic, positive non-square discriminant": lambda: [quadratic(False)],
+        "reducible squarefree quadratic": lambda: [up("z") + a for a in rng.sample(range(-4, 5), 2)],
+        "discriminant 0": lambda: [linear()] * 2,
+        "cubic": lambda: rng.choice(
+            [[linear(), linear(), linear()], [linear(), quadratic(True)], [up("z^3-2")]]
+        ),
+    }
+    counts = dict.fromkeys(kinds, 0)
+    rejected = dict.fromkeys(kinds, 0)
+    for _ in range(150):
+        for kind, factors in kinds.items():
+            fs = factors()
+            place = math.prod(fs, start=ONE) * rng.choice([1, -3, Fraction(2, 5)])
+            p = random_unipoly(rng, 3, nonzero=True)
+            for f in fs:
+                p = p * f ** rng.randint(0, 3)
+            ours = _outcome(place_multiplicity, p, place)
+            assert ours == _outcome(_multiplicity_by_gcd, p, place), (kind, p, place)
+            counts[kind] += isinstance(ours, int) and ours > 0
+            rejected[kind] += not isinstance(ours, int)
+    assert all(counts.values()), counts
+    # only places of the last three kinds can overlap an argument partially
+    assert [kind for kind, n in rejected.items() if n] == list(kinds)[3:], rejected
+    for place in (up("z"), up("z^2+1"), up("z^2-2"), up("z^2-1"), up("z^3-2")):
+        for p in (up("0"), up("3"), up("-1/2")):
+            assert _outcome(place_multiplicity, p, place) == _outcome(_multiplicity_by_gcd, p, place)
+        assert place_multiplicity(up("5"), place) == 0
+        with pytest.raises(ZeroDivisionError):
+            place_multiplicity(up("0"), place)
+    for p in (up("z^2+1"), up("7")):
+        for const in (up("3"), up("0")):
+            assert _outcome(place_multiplicity, p, const) == _outcome(_multiplicity_by_gcd, p, const)
+            with pytest.raises(ValueError, match="divide_out needs a nonconstant divisor"):
+                place_multiplicity(p, const)
 
 
 def test_valuation_examples():

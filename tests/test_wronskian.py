@@ -243,6 +243,35 @@ def test_ordw_builds_w_once_per_tuple(monkeypatch):
             assert builds == [len(fs)]
 
 
+def test_ordw_formats_w_once_per_tuple(monkeypatch):
+    # the memo holds W's text beside W: ordw_check at every place of a tuple
+    # formats W once, and every report carries that text
+    rng = random.Random(233)
+    while True:
+        fs = tuple(random_ratfunc(rng, 3, nonzero=True) for _ in range(3))
+        w = wronskian(fs)
+        if w.is_zero():
+            continue
+        basis = coprime_basis([p for f in fs for p in (f.num, f.den)] + [w.num, w.den])
+        if len(basis) > 2:
+            break
+    places = [Place.finite(b) for b in basis]
+    formatted = []
+    module = sys.modules["torigcd.wronskian"]
+    real = module.format_ratfunc
+
+    def counting(f):
+        formatted.append(f)
+        return real(f)
+
+    monkeypatch.setattr(module, "format_ratfunc", counting)
+    _wronskian.cache_clear()
+    reports = [ordw_check(fs, pl) for pl in places]
+    assert wronskian(fs) == w  # W alone, from the same memo
+    assert formatted == [w]
+    assert all(r.info["wronskian"] == real(w) for r in reports)
+
+
 def test_ordw_truncated_form_can_fail_at_a_pole():
     # f1 has a simple pole at z and f2 a double zero: lhs = 0 + 2 - 1 = 1,
     # while W has a pole there, so rhs = 0; the untruncated lemma still holds
