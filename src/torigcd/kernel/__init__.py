@@ -17,7 +17,6 @@ from .intpoly_py import (
     normalize,
     pivot_rows,
     primitive_part,
-    pseudo_divmod,
 )
 
 BACKEND = "pure"

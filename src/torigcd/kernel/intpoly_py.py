@@ -2,7 +2,7 @@
 
 A polynomial is a list of ints, index = exponent, with no trailing zeros;
 the zero polynomial is the empty list.  These routines carry the hot loops
-of the package: univariate products, exact and pseudo-quotients, gcds
+of the package: univariate products, exact quotients, gcds
 and their cofactors (GCDHEU of Char, Geddes and Gonnet, JSC 1989, over an
 unbounded sequence of evaluation points, which always ends) and exact ranks.
 
@@ -65,31 +65,6 @@ def primitive_part(a: IntPoly) -> IntPoly:
     if c == 1:
         return list(a)
     return [x // c for x in a]
-
-
-def pseudo_divmod(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly]":
-    """(q, r) with lc(g)^e * f = q * g + r and deg r < deg g.
-
-    Here e = max(deg f - deg g + 1, 0).  Both q and r are unique, and r is
-    the pseudo-remainder prem(f, g).
-    """
-    if not g:
-        raise ZeroDivisionError("pseudo_divmod by zero polynomial")
-    dg = len(g) - 1
-    lg = g[-1]
-    r = list(f)
-    q = [0] * max(len(f) - dg, 0)
-    for shift in range(len(q) - 1, -1, -1):
-        # r <- lg * r - s * z^shift * g cancels r's top coefficient s; the
-        # shift steps still to come scale q's new coefficient by lg each
-        s = r.pop()
-        if lg != 1:
-            r = [c * lg for c in r]
-        if s:
-            q[shift] = s * lg**shift
-            for i in range(dg):
-                r[shift + i] -= s * g[i]
-    return q, normalize(r)
 
 
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:

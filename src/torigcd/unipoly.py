@@ -11,12 +11,11 @@ polynomial is the sentinel -1 (callers that rely on deg(0) = -infinity
 semantics must special-case zero).
 
 Division (``divmod``, and through it ``exact_div``) and ``divide_out``
-first divide the integer numerators by the primitive part of the divisor:
-by Gauss's lemma the quotient is an integer polynomial whenever the
-division is exact, so the first leading coefficient that does not divide
-proves there is a remainder.  Only then does ``divmod`` pseudo-divide the
-numerators in the kernel and scale its quotient and remainder back over
-one denominator each.
+are exact only: they divide the integer numerators by the primitive part
+of the divisor in the kernel's exact quotient.  By Gauss's lemma the
+quotient is an integer polynomial whenever the division is exact, so the
+first leading coefficient that does not divide proves there is a
+remainder, and the division raises.
 ``uni_gcd_cofactors`` returns the quotients by the gcd that the kernel's
 gcd check has already computed, for callers that divide by the gcd.
 """
@@ -171,25 +170,21 @@ class UniPoly:
         return _new(tuple(result), self.den**k)
 
     def __divmod__(self, other: "UniPoly"):
+        """(self / other, ZERO) when other divides self; exact division only.
+
+        Raises ``ValueError`` when other does not divide self, and
+        ``ZeroDivisionError`` when other is zero.
+        """
         if not isinstance(other, UniPoly):
             return NotImplemented
         if not other.ints:
             raise ZeroDivisionError("polynomial division by zero")
         c, b = _primitive(other.ints)
         quot = kernel.exact_quotient(self.ints, b)
-        if quot is not None:
-            # self / other = (self.ints / b) * other.den / (self.den * c)
-            return _canon([x * other.den for x in quot], self.den * c), ZERO
-        # lb^e * self.ints = q * b + r, with lb = lc(b): scale both back
-        q, r = kernel.pseudo_divmod(self.ints, b)
-        den = self.den * b[-1] ** max(len(self.ints) - len(b) + 1, 0)
-        return _canon([x * other.den for x in q], den * c), _canon(r, den)
-
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[1]
+        if quot is None:
+            raise ValueError("polynomial division with nonzero remainder")
+        # self / other = (self.ints / b) * other.den / (self.den * c)
+        return _canon([x * other.den for x in quot], self.den * c), ZERO
 
     def monic(self) -> "UniPoly":
         """Scale to leading coefficient 1; zero stays zero."""
@@ -321,11 +316,8 @@ def uni_lcm(p: UniPoly, q: UniPoly) -> UniPoly:
 
 
 def exact_div(p: UniPoly, q: UniPoly) -> UniPoly:
-    """Quotient p/q when q divides p exactly; raise otherwise."""
-    quot, rem = divmod(p, q)
-    if not rem.is_zero():
-        raise ValueError("exact_div with nonzero remainder")
-    return quot
+    """Quotient p/q when q divides p exactly; raise ``ValueError`` otherwise."""
+    return divmod(p, q)[0]
 
 
 def divide_out(p: UniPoly, q: UniPoly) -> "tuple[int, UniPoly]":

@@ -99,25 +99,28 @@ def test_content_and_primitive_part(backend):
         assert [c * scale for c in pp] == p
 
 
-def test_pseudo_divmod_is_scaled_division(backend):
+def test_exact_quotient_matches_fraction_division(backend):
+    # random pairs and each product f*g, non-primitive g included: the
+    # quotient is the Fraction quotient when that divides with no remainder
+    # into integers, and None otherwise
     rng = random.Random(23)
+    cases = exact = nonprimitive = 0
     for _ in range(160):
         f = backend.normalize(_rand_poly(rng, 8))
         g = backend.normalize(_rand_poly(rng, 5))
         if not g:
             continue
-        q, r = backend.pseudo_divmod(f, g)
-        e = max(len(f) - len(g) + 1, 0)
-        scale = g[-1] ** e
-        quo, rem = _frac_divmod([x * scale for x in f], g)
-        assert [Fraction(x) for x in backend.normalize(q)] == quo
-        assert [Fraction(x) for x in r] == rem
-        assert len(r) < len(g)
-        lhs = [x * scale for x in f]
-        rhs = backend.mul(q, g) + [0] * len(f)
-        for i, x in enumerate(r):
-            rhs[i] += x
-        assert lhs == backend.normalize(rhs)
+        nonprimitive += backend.content(g) > 1
+        for a in (f, backend.mul(f, g)):
+            quo, rem = _frac_divmod(a, g)
+            ours = backend.exact_quotient(a, g)
+            cases += 1
+            if not rem and all(c.denominator == 1 for c in quo):
+                exact += 1
+                assert ours is not None and [Fraction(x) for x in ours] == quo
+            else:
+                assert ours is None
+    assert nonprimitive and 0 < exact < cases
 
 
 def test_gcd_matches_fraction_euclid(backend):
@@ -165,12 +168,20 @@ def test_bareiss_rank_rectangular_and_deficient(backend):
 
 
 def _prs_reference(f, g):
-    """The primitive gcd of f, g by the primitive pseudo-remainder sequence."""
+    """The primitive gcd of f, g by the primitive remainder sequence.
+
+    Each remainder comes from ``_frac_divmod``, is cleared of its
+    denominators and replaced by its primitive part.  The primitive part
+    does not change under scaling, so this is the primitive
+    pseudo-remainder sequence.
+    """
     a, b = intpoly_py.primitive_part(f), intpoly_py.primitive_part(g)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        a, b = b, intpoly_py.primitive_part(intpoly_py.pseudo_divmod(a, b)[1])
+        r = _frac_divmod(a, b)[1]
+        den = math.lcm(*(x.denominator for x in r))
+        a, b = b, intpoly_py.primitive_part([x.numerator * (den // x.denominator) for x in r])
     return a
 
 

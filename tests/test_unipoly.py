@@ -59,11 +59,15 @@ def test_ring_laws(p, q, r):
 @given(polys, polys)
 @settings(max_examples=150, deadline=None)
 def test_divmod_reconstructs(p, q):
+    # divmod is exact only: it gives back p from p*q, and raises once a
+    # nonzero remainder of lower degree than q is added
     if q.is_zero():
         return
-    quo, rem = divmod(p, q)
-    assert quo * q + rem == p
-    assert rem.degree < q.degree
+    assert divmod(p * q, q) == (p, ZERO)
+    r = UniPoly(p.coeffs[: q.degree])
+    if not r.is_zero():
+        with pytest.raises(ValueError):
+            divmod(p * q + r, q)
 
 
 def test_pow():
@@ -141,7 +145,7 @@ def test_exact_div_raises_on_remainder():
 
 def test_divide_out_at_z_matches_the_division_loop():
     # divide_out at a multiple of z against a reference that divides with
-    # divmod once per unit of multiplicity
+    # exact_div once per unit of multiplicity, until it raises
     rng = random.Random(31)
     for e in range(51):
         core = [Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 4))]
@@ -150,8 +154,9 @@ def test_divide_out_at_z_matches_the_division_loop():
         for q in (Z, UniPoly([0, Fraction(-3, 2)])):
             count, rest = 0, p
             while True:
-                quot, rem = divmod(rest, q)
-                if rem:
+                try:
+                    quot = exact_div(rest, q)
+                except ValueError:
                     break
                 count, rest = count + 1, quot
             assert count == e

@@ -84,25 +84,29 @@ def test_power(p, k):
 @given(polys, nonzero)
 @settings(max_examples=200, deadline=None)
 def test_divmod(p, q):
-    quo, rem = divmod(p, q)
+    """Exact division only: (Quo, 0) when sympy leaves no remainder, else raise."""
     Quo, Rem = sympy.div(to_sympy(p), to_sympy(q))
-    check(quo, Quo)
-    check(rem, Rem)
-    check(p // q, Quo)
-    check(p % q, Rem)
+    if Rem.is_zero:
+        quo, rem = divmod(p, q)
+        check(quo, Quo)
+        assert rem == ZERO
+    else:
+        with pytest.raises(ValueError):
+            divmod(p, q)
+    with pytest.raises(TypeError):
+        p // q
+    with pytest.raises(TypeError):
+        p % q
 
 
 @given(nonconstant, nonconstant)
 @settings(max_examples=100, deadline=None)
 def test_divmod_nonzero_remainder(p, q):
-    """Products plus a remainder of lower degree: the remainder comes back."""
-    r = divmod(p, q)[1]
+    """Products plus a nonzero remainder of lower degree: the division raises."""
+    r = from_sympy(sympy.rem(to_sympy(p), to_sympy(q)))
     assume(not r.is_zero())
-    quo, rem = divmod(p * q + r, q)
-    Quo, Rem = sympy.div(to_sympy(p * q + r), to_sympy(q))
-    check(quo, Quo)
-    check(rem, Rem)
-    assert rem == r and quo == p
+    with pytest.raises(ValueError):
+        divmod(p * q + r, q)
 
 
 @given(polys, nonzero)
