@@ -14,11 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import HypothesisError, UsageError
-from .kernel.intpoly_py import _evaluate
+from .kernel.intpoly_py import IntPoly, _evaluate, _interpolate, content, mul, primitive_part
 from .multipoly import (
     MultiPoly,
     coprime_multivariate,
@@ -338,7 +338,7 @@ def _horner(plan, tops: Sequence[int], xs: Sequence[int], ys: Sequence[int], axi
 
 
 def _point_plan(cfg: SweepConfig):
-    """(bases, plans) of a sweep, for ``_coprime_at_point`` and ``_point_bits``.
+    """(bases, plans) of a sweep, for ``_degree_at_point`` and ``_point_bits``.
 
     A base g_i = (u_i/a_i)/(w_i/b_i), u_i, w_i integer polynomials, gives
     (u_i, n_i, d_i) with n_i = ||u_i||_1 b_i and d_i = ||w_i||_1 a_i, so a
@@ -376,7 +376,8 @@ def _point_bits(cfg: SweepConfig, bases, plans) -> List[int]:
     """V_k for each row k: |N_P(x)| <= beta_P x^(k D) and beta_P grows with k,
     so with beta_P and x = 2 min(beta_F, beta_G) + 2 at k_max, V_k = max over P
     of k D bitlen(x) + bitlen(beta_P) bounds the values of row k at its own
-    point.  GCDHEU's points for the rows the point cannot prove grow alike."""
+    point and at that point plus 1, which as the point is even has its bit
+    length.  GCDHEU's points for the rows the point cannot decide grow alike."""
     betas = _betas(cfg.k_max, bases, plans)
     x_bits = (2 * min(betas) + 2).bit_length()
     return [
@@ -385,39 +386,143 @@ def _point_bits(cfg: SweepConfig, bases, plans) -> List[int]:
     ]
 
 
-def _coprime_at_point(k: int, bases, plans) -> bool:
-    """True only if the numerators of F(g^k) and G(g^k) are nonzero and coprime.
-
-    ``bases`` and ``plans`` come from ``_point_plan``, where the numerator N_P
-    of P(g^k) has 1-norm at most beta_P; by Cauchy's bound every root a of
-    N_P has |a| < 1 + beta_P.
-
-    At x = 2 min(beta_F, beta_G) + 2 both values N_F(x), N_G(x) are taken.
-    Take a nonconstant common factor H of N_F and N_G primitive in Z[z]; by
-    Gauss's lemma it divides both in Z[z], so H(x) divides both values.
-    Every root a of H lies below 1 + min(beta_F, beta_G) = x/2 in absolute
-    value, so |H(x)| >= prod |x - a| > (x/2)^(deg H) >= x/2.  When both
-    values are nonzero and 2 gcd(N_F(x), N_G(x)) < x there is no such H:
-    the reduced numerators of F(g^k) and G(g^k), N_F and N_G up to scalars,
-    are coprime, so ``ngcd_slope`` is 0, and neither composed function
-    vanishes identically.  For polynomial f, g the lcm L of the denominators
-    is 1, so ``tgcd_slope`` = max(deg f, deg g) - ``char_slope(f / g)`` =
-    deg gcd(f, g) = ``ngcd_slope``: the row is 0 on either track.  This is
-    GCDHEU's first point (Char, Geddes and Gonnet, JSC 1989) with the norms
-    bounded from the bases, so neither N_F nor N_G is built.
-    """
-    x = 2 * min(_betas(k, bases, plans)) + 2
+def _values_at(x: int, k: int, bases, plans) -> Iterator[int]:
+    """N_F(x), then N_G(x), at the integer x, from u_i(x)^k and d_i^k by the
+    Horner plans; N_G(x) is computed only when asked for."""
     ys = [d**k for _, _, d in bases]
     xs = [_evaluate(u, x) ** k for u, _, _ in bases]
-    a, b = (_horner(plan, tops, xs, ys) for tops, _, plan, _ in plans)
-    return a != 0 and b != 0 and 2 * math.gcd(a, b) < x
+    return (_horner(plan, tops, xs, ys) for tops, _, plan, _ in plans)
+
+
+class _Residue:
+    """An integer polynomial reduced modulo a monic H in Z[y], as deg H coefficients.
+
+    ``H`` lists H's coefficients below its leading 1, so reduction needs no
+    division and the residues form a ring over Z.  It carries the operations
+    ``_horner`` performs, ints acting as scalars, so the Horner plans run on
+    residues unchanged.
+    """
+
+    __slots__ = ("c", "H")
+
+    def __init__(self, c: IntPoly, H: IntPoly):
+        n = len(H)
+        c = list(c) + [0] * (n - len(c))
+        for i in range(len(c) - 1, n - 1, -1):
+            t = c[i]
+            if t:
+                for j, hj in enumerate(H):
+                    c[i - n + j] -= t * hj
+        self.c, self.H = c[:n], H
+
+    def __add__(self, other):
+        if type(other) is int:
+            return _Residue([self.c[0] + other, *self.c[1:]], self.H)
+        return _Residue([p + q for p, q in zip(self.c, other.c)], self.H)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return _Residue([other * p for p in self.c], self.H)
+        return _Residue(mul(self.c, other.c), self.H)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        out, base = 1, self
+        while e:
+            if e & 1:
+                out = base * out
+            e >>= 1
+            if e:
+                base = base * base
+        return out
+
+    def __bool__(self) -> bool:
+        return any(self.c)
+
+
+def _divides_numerators(h: IntPoly, k: int, bases, plans) -> bool:
+    """True exactly when the primitive h divides N_F and N_G in Z[z].
+
+    Neither numerator is built.  With l = lc(h), n = deg h and z = y/l,
+    H(y) = l^(n-1) h(y/l) is monic in Z[y], and U_i(y) = l^(deg u_i) u_i(y/l)
+    is in Z[y].  A Horner plan with u_i(z)^k replaced by the residue of
+    U_i^k modulo H and d_i^k by (d_i l^(deg u_i))^k gives the residue of
+    N_P(y/l) prod_i l^(k t_i deg u_i) modulo H, which is zero exactly when h
+    divides N_P over Q, and by Gauss's lemma over Z.  For n = 1 the residue
+    is the value at H's integer root, so the plans run on ints.
+    """
+    l, n = h[-1], len(h) - 1
+    H = [hj * l ** (n - 1 - j) for j, hj in enumerate(h[:n])]
+    Us = [[uj * l ** (len(u) - 1 - j) for j, uj in enumerate(u)] for u, _, _ in bases]
+    xs = [_evaluate(U, -H[0]) ** k if n == 1 else _Residue(U, H) ** k for U in Us]
+    ys = [(d * l ** (len(u) - 1)) ** k for u, _, d in bases]
+    return not any(_horner(plan, tops, xs, ys) for tops, _, plan, _ in plans)
+
+
+def _degree_at_point(k: int, bases, plans) -> Optional[int]:
+    """deg gcd of the numerators N_F, N_G of F(g^k) and G(g^k), or None.
+
+    ``bases`` and ``plans`` come from ``_point_plan``, where N_P has 1-norm
+    at most beta_P; by Cauchy's bound every root a of N_P has |a| < 1 + beta_P.
+    The row is read at the one point x = 2 min(beta_F, beta_G) + 2, without
+    building N_F or N_G; None means the point cannot decide it.
+
+    Both values A = N_F(x), B = N_G(x) must be nonzero; let v = gcd(A, B).
+    Take a nonconstant common factor C of N_F and N_G primitive in Z[z]; by
+    Gauss's lemma it divides both in Z[z], so C(x) divides both values.
+    Every root a of C lies below 1 + min(beta_F, beta_G) = x/2 in absolute
+    value, so |C(x)| >= prod |x - a| > (x/2)^(deg C) >= x/2.  So 2 v < x
+    leaves no such C, and the row is 0.  This is GCDHEU's first point (Char,
+    Geddes and Gonnet, JSC 1989) with the norms bounded from the bases.
+
+    Otherwise GCDHEU's candidate is read from the same v: the balanced
+    base-x digits of v spell s with s(x) = v, and h = s / c, c the content
+    of s with the sign of lc(s), is primitive with h(x) = v / c, which
+    divides A and B and leaves cofactor values of gcd |c|.  Suppose h
+    divides N_F and N_G in Z[z] (``_divides_numerators``).  A common factor
+    C of N_F / h and N_G / h divides both, so as above |C(x)| > x/2, and
+    C(x) divides A / h(x) and B / h(x), hence |c|.  So when 2 |c| < x,
+    N_F / h and N_G / h are coprime and deg gcd(N_F, N_G) = deg h.  A
+    constant s has |c| = v >= x/2 and falls back.  Before that proof a
+    cheaper test rejects most spurious candidates: if h divides N_P in Z[z]
+    then h(x+1) divides N_P(x+1).  x is even, so x+1 has the bit length of x
+    and ``_point_bits`` bounds these values too; h(x+1) is nonzero, since
+    the digits lie within x/2 in absolute value, so by Cauchy's bound every
+    root of h lies below 1 + x/2 < x + 1.
+
+    The reduced numerators of F(g^k) and G(g^k) are N_F and N_G up to
+    scalars, so the result is ``ngcd_slope``, and neither composed function
+    vanishes identically.  For polynomial f, g the lcm L of the denominators
+    is 1, so ``tgcd_slope`` = max(deg f, deg g) - ``char_slope(f / g)`` =
+    deg gcd(f, g): the row is the same on either track.
+    """
+    x = 2 * min(_betas(k, bases, plans)) + 2
+    a, b = _values_at(x, k, bases, plans)
+    if not a or not b:
+        return None
+    v = math.gcd(a, b)
+    if 2 * v < x:
+        return 0
+    s = _interpolate(v, x)
+    if 2 * content(s) >= x:
+        return None
+    h = primitive_part(s)
+    hx = _evaluate(h, x + 1)
+    if any(value % hx for value in _values_at(x + 1, k, bases, plans)):
+        return None
+    return len(h) - 1 if _divides_numerators(h, k, bases, plans) else None
 
 
 def _run_sweep(cfg: SweepConfig, track: str) -> SweepResult:
     bases, plans = _sweep_gates(cfg, track)
     scale_unit = max(char_slope(g) for g in cfg.gs)
     rows: List[SweepRow] = []
-    # rows over polynomial bases, on either track, are first tried at one integer point
+    # rows over polynomial bases, on either track, are first read at one
+    # integer point, which decides coprime and shared rows alike; a row the
+    # point cannot decide, and every row over rational bases, is built
     at_point = all(g.is_polynomial() for g in cfg.gs)
     # hs = [g**k_last for g in gs], k_last the last row built, advanced by
     # one product with g**(k - k_last); the factors are powers of the same
@@ -425,9 +530,8 @@ def _run_sweep(cfg: SweepConfig, track: str) -> SweepResult:
     hs = [RationalFunction.constant(1)] * len(cfg.gs)
     k_last = 0
     for k in range(cfg.k_min, cfg.k_max + 1, cfg.k_step):
-        if at_point and _coprime_at_point(k, bases, plans):
-            deg = 0
-        else:
+        deg = _degree_at_point(k, bases, plans) if at_point else None
+        if deg is None:
             step = [g ** (k - k_last) for g in cfg.gs]
             hs = [
                 RationalFunction._coprime(h.num * s.num, h.den * s.den)

@@ -170,7 +170,7 @@ def test_sweep_size_cap(capsys, monkeypatch):
         assert "size cap" in capsys.readouterr().err
     # at the corner the gate checks the full sweep and the rows are stubbed:
     # the 411-row sweep is a CI time budget
-    monkeypatch.setattr(nevandeg, "_coprime_at_point", lambda *args: True)
+    monkeypatch.setattr(nevandeg, "_degree_at_point", lambda *args: 0)
     for track in ("n", "t"):
         assert run(found + ["--kmax", "411", "--track", track]) == 0
         out = capsys.readouterr().out

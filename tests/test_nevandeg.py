@@ -486,7 +486,7 @@ def test_sweep_summary_on_every_pattern(monkeypatch):
             degrees = iter(k * a for k, a in enumerate(above, 1))
             monkeypatch.setattr(nevandeg, "ngcd_slope", lambda f, g: next(degrees))
             # with base z the point proof would decide rows before ngcd_slope
-            monkeypatch.setattr(nevandeg, "_coprime_at_point", lambda *args: False)
+            monkeypatch.setattr(nevandeg, "_degree_at_point", lambda *args: None)
             res = gcd_sweep(SweepConfig(cfg.F, cfg.G, cfg.gs, k_max=length))
             assert [r.ratio >= res.epsilon for r in res.rows] == [bool(a) for a in above]
             assert (res.first_below, res.stays_below, res.threshold_k) == (

@@ -1,12 +1,14 @@
 """Power-sweep rows decided at one integer point.
 
-``_coprime_at_point`` proves a row over polynomial bases, on either track,
-coprime without building F(g^k) or G(g^k).  Every sweep must equal a
-reference run with the proof switched off, byte for byte, the two tracks
-must give the same rows on polynomial bases, and the proof must never claim
-a row whose composed numerators sympy finds a nonconstant gcd for.  The
+``_degree_at_point`` decides a row over polynomial bases, on either track,
+without building F(g^k) or G(g^k): a coprime row from the value gcd, a
+shared row from GCDHEU's candidate read off the same gcd and proved a
+divisor of both numerators by residues.  Every sweep must equal a reference
+run with the point switched off, byte for byte, the two tracks must give
+the same rows on polynomial bases, and every row the point decides must
+equal the degree of the gcd sympy finds for the composed numerators.  The
 sweep's size cap reads the same point bound, so ``_point_bits`` must bound
-every value the proof takes, and both caps must stop a sweep before any
+every value the point takes, and both caps must stop a sweep before any
 proof runs.
 """
 
@@ -18,8 +20,9 @@ from fractions import Fraction
 
 import pytest
 
-from torigcd import nevandeg
+from torigcd import kernel, nevandeg
 from torigcd.errors import HypothesisError, UsageError
+from torigcd.kernel.intpoly_py import _interpolate
 from torigcd.nevandeg import SweepConfig, gcd_sweep, tgcd_sweep
 from torigcd.parsing import parse_multipoly, parse_ratfunc
 from torigcd.ratfunc import RationalFunction
@@ -41,7 +44,8 @@ TEMPLATES = [
     ("x1-1", "x2-1", ("z^2{a:+d}", "z^2{b:+d}"), 20, "n"),
 ]
 
-# rows the point cannot prove: every row shares z-2, and every even row z+2
+# rows that share a factor: every row of the first sweep shares z-2, and
+# every even row of the second z+2; the point decides most of them
 SHARED = [
     ("x1^2-x2", "x2-1", ("z-3", "z-1"), 30, "n"),
     ("x1-1", "x2-1", ("z+3", "z+1"), 30, "n"),
@@ -102,16 +106,17 @@ def test_point_rows_equal_the_polynomial_route(monkeypatch):
         *_random_sweeps(7, 40),
     ]
     got = [_outcome(track, cfg) for track, cfg in sweeps]
-    monkeypatch.setattr(nevandeg, "_coprime_at_point", lambda *args: False)
+    monkeypatch.setattr(nevandeg, "_degree_at_point", lambda *args: None)
     assert got == [_outcome(track, cfg) for track, cfg in sweeps]
     assert [out for out in got if "SweepResult" not in out] == [
         repr(("a composed function vanishes identically", {"k": 1}))
     ]
 
 
-def test_tracks_agree_on_polynomial_bases():
+def test_tracks_agree_on_polynomial_bases(monkeypatch):
     # over polynomial bases F(g^k) and G(g^k) are polynomials, so their gcd
-    # proximity is 0 and every T_gcd row is the row's deg gcd
+    # proximity is 0 and every T_gcd row is the row's deg gcd; with the point
+    # switched off, the polynomial route gives the same rows
     sweeps = [
         *(cfg for _, cfg in _template_sweeps(range(3)) if all(g.is_polynomial() for g in cfg.gs)),
         *(cfg for _, cfg in _random_sweeps(13, 240)),
@@ -129,6 +134,8 @@ def test_tracks_agree_on_polynomial_bases():
     swept = [r for r in results if isinstance(r, nevandeg.SweepResult)]
     assert len(swept) >= 200
     assert sum(any(row.gcd_degree for row in r.rows) for r in swept) > 20
+    monkeypatch.setattr(nevandeg, "_degree_at_point", lambda *args: None)
+    assert results == [untracked(gcd_sweep, cfg) for cfg in sweeps]
 
 
 def test_point_proof_agrees_with_sympy():
@@ -143,7 +150,7 @@ def test_point_proof_agrees_with_sympy():
         *((track, _config(F, G, bases, k_max=8)) for F, G, bases, _, track in SHARED),
         *_random_sweeps(11, 12),
     ]
-    proved = shared = 0
+    decided = shared = 0
     for _, cfg in sweeps:
         if not all(g.is_polynomial() for g in cfg.gs):
             continue
@@ -159,25 +166,35 @@ def test_point_proof_agrees_with_sympy():
                         term *= g ** (k * e)
                     value += term
                 nums.append(value)
+            claim = nevandeg._degree_at_point(k, bases, plans)
             if any(num.is_zero for num in nums):
+                assert claim is None, (cfg, k)
                 continue
-            degree = nums[0].gcd(nums[1]).degree()
-            claim = nevandeg._coprime_at_point(k, bases, plans)
-            assert not (claim and degree > 0), (cfg, k)
-            proved += claim
-            shared += degree > 0
-    assert proved > 100 and shared > 10
+            if claim is not None:
+                assert claim == nums[0].gcd(nums[1]).degree(), (cfg, k)
+                decided += 1
+                shared += claim > 0
+    assert decided > 100 and shared > 10
 
 
 def test_point_bits_bound_the_point_values(monkeypatch):
+    # every value a row takes: the numerators at x and at x + 1, and the
+    # pair whose integer gcd the size cap prices
     values = []
+    values_at = nevandeg._values_at
 
     def gcd(a, b):
-        values.append((a, b))
+        values.extend((a, b))
         return math.gcd(a, b)
 
+    def recorded(*args):
+        out = list(values_at(*args))
+        values.extend(out)
+        return out
+
     monkeypatch.setattr(nevandeg, "math", types.SimpleNamespace(gcd=gcd))
-    rows = 0
+    monkeypatch.setattr(nevandeg, "_values_at", recorded)
+    rows = at_next = 0
     # at 14*x1 over z the point is 30 on every row, and the bound nearly meets
     # the value 14 * 30^k: bitlen(beta_F) carries the 14
     tight = _config("14*x1", "100*x2-1", ("z", "z+3"), k_max=30)
@@ -186,11 +203,70 @@ def test_point_bits_bound_the_point_values(monkeypatch):
         ks = range(cfg.k_min, cfg.k_max + 1, cfg.k_step)
         for k, bits in zip(ks, nevandeg._point_bits(cfg, bases, plans), strict=True):
             values.clear()
-            nevandeg._coprime_at_point(k, bases, plans)
-            (a, b), = values
-            assert max(a.bit_length(), b.bit_length()) <= bits, (cfg, k)
+            nevandeg._degree_at_point(k, bases, plans)
+            assert max(v.bit_length() for v in values) <= bits, (cfg, k)
             rows += 1
+            at_next += len(values) > 4  # the row took its values at x + 1
     assert rows == 3 * sum(k_max for *_, k_max, _ in TEMPLATES) + 30
+    assert at_next > 100
+
+
+@pytest.mark.parametrize("track", ["n", "t"])
+@pytest.mark.parametrize(
+    "bases, k_max, shared",
+    [
+        # 2z+1 divides (2z)^k - 1 and (2z+2)^k - 1 at even k: a non-monic
+        # linear factor, proved at the root -1 of H = y + 1
+        (("2*z", "2*z+2"), 30, {k: 1 for k in range(2, 31, 2)}),
+        # z^2+z+1 divides z^k - 1 and (z+1)^k - 1 at 6 | k, proved by residues
+        # modulo it; at k = 12 the candidate is spurious and the row is built
+        (("z", "z+1"), 12, {6: 2}),
+        # 4z^2+2z+1 divides (2z)^k - 1 and (2z+1)^k - 1 at 6 | k: a non-monic
+        # quadratic factor, proved by residues modulo H = y^2 + 2y + 4
+        (("2*z", "2*z+1"), 24, {6: 2, 12: 2, 18: 2, 24: 2}),
+    ],
+)
+def test_shared_rows_decided_at_the_point(track, bases, k_max, shared, monkeypatch):
+    cfg = _config("x1-1", "x2-1", bases, k_max=k_max)
+    point, plans = nevandeg._point_plan(cfg)
+    decided = {k: nevandeg._degree_at_point(k, point, plans) for k in range(1, k_max + 1)}
+    assert {k: d for k, d in decided.items() if d} == shared
+    got = _outcome(track, cfg)
+    monkeypatch.setattr(nevandeg, "_degree_at_point", lambda *args: None)
+    assert got == _outcome(track, cfg)
+
+
+def test_spurious_candidates_fall_back_before_the_proof(monkeypatch):
+    # over z, z+1 the point is x = 6 on every row, and the value gcds of
+    # 6^k - 1 and 7^k - 1 carry factors no common factor of the numerators
+    # explains, so most candidates are spurious.  h(x + 1) divides N_P(x + 1)
+    # whenever h divides N_P, and it is never 0: the digits of a candidate
+    # lie within x/2, so by Cauchy's bound its roots lie below 1 + x/2 < x + 1
+    cfg = _config("x1-1", "x2-1", ("z", "z+1"), k_max=60)
+    bases, plans = nevandeg._point_plan(cfg)
+    proofs = []
+    divides = nevandeg._divides_numerators
+
+    def recorded(h, *args):
+        proofs.append(h)
+        return divides(h, *args)
+
+    monkeypatch.setattr(nevandeg, "_divides_numerators", recorded)
+    fell_back = 0
+    for k in range(1, 61):
+        if nevandeg._degree_at_point(k, bases, plans) is not None:
+            continue
+        fell_back += 1
+        # the candidate the point read, checked against the built numerators
+        x = 2 * min(nevandeg._betas(k, bases, plans)) + 2
+        h = kernel.primitive_part(_interpolate(math.gcd(*nevandeg._values_at(x, k, bases, plans)), x))
+        nums = [UniPoly([-1]) + g.num**k for g in cfg.gs]
+        assert any(kernel.exact_quotient(num.ints, h) is None for num in nums), k
+    assert fell_back == 30
+    assert proofs == [[1, 1, 1]]
+    reference = _outcome("n", cfg)
+    monkeypatch.setattr(nevandeg, "_degree_at_point", lambda *args: None)
+    assert reference == _outcome("n", cfg)
 
 
 def _unreached(*args):
