@@ -312,6 +312,26 @@ def run(argv: Sequence[str]) -> int:
     return _run(argv, os.environ.get(OUTDIR_ENV))
 
 
+def _joined(argv: Sequence[str]) -> "list[str]":
+    """argv with each '--opt -value' written '--opt=-value'.
+
+    Every option takes exactly one value, but argparse reads a separate value
+    that begins with '-' as an option unless it looks like a negative number,
+    so '--F -x1+1' would lack its argument.  '-h' and '--' are left alone.
+    """
+    out: "list[str]" = []
+    for tok in argv:
+        prev = out[-1] if out else ""
+        if (
+            prev.startswith("--") and len(prev) > 2 and "=" not in prev and prev != "--help"
+            and tok.startswith("-") and not tok.startswith("--") and tok != "-h"
+        ):
+            out[-1] = f"{prev}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def _run(argv: Sequence[str], outdir: Optional[str]) -> int:
     """run with outdir in place of $TORIGCD_OUTDIR: the corpus runner passes
     None, so its cases write no report there and cannot overwrite each other."""
@@ -321,7 +341,7 @@ def _run(argv: Sequence[str], outdir: Optional[str]) -> int:
     digit_limit = sys.get_int_max_str_digits() if _HAS_DIGIT_LIMIT else 0
     args = None
     try:
-        args = _shared_parser().parse_args(list(argv))
+        args = _shared_parser().parse_args(_joined(argv))
         if _HAS_DIGIT_LIMIT:
             sys.set_int_max_str_digits(0)
         text, ext, passed = args.func(args)

@@ -29,6 +29,7 @@ from .kernel.intpoly_py import _heu_points, _interpolate
 from .ratfunc import RationalFunction
 from .unipoly import UniPoly
 from .unipoly import _canon as _canon_unipoly
+from .unipoly import _magnitude
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -71,11 +72,11 @@ class MultiPoly:
     def variable(nvars: int, axis: int) -> "MultiPoly":
         exp = [0] * nvars
         exp[axis] = 1
-        return MultiPoly(nvars, {tuple(exp): 1})
+        return _new(nvars, {tuple(exp): 1}, 1)
 
     @staticmethod
     def monomial(nvars: int, exp: Exponent) -> "MultiPoly":
-        return MultiPoly(nvars, {tuple(exp): 1})
+        return _new(nvars, {tuple(exp): 1}, 1)
 
     @property
     def terms(self) -> "Mapping[Exponent, Fraction]":
@@ -110,9 +111,6 @@ class MultiPoly:
 
     def degree_in(self, axis: int) -> int:
         return max((e[axis] for e in self.ints), default=-1)
-
-    def constant_term(self) -> Fraction:
-        return Fraction(self.ints.get((0,) * self.nvars, 0), self.den)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, MultiPoly):
@@ -228,16 +226,9 @@ class MultiPoly:
             return MultiPoly.constant(self.nvars, value)
         return None
 
-    def sorted_terms(self) -> "list[tuple[Exponent, Fraction]]":
-        """Terms in descending lexicographic exponent order."""
-        den = self.den
-        return [
-            (e, Fraction(c, den))
-            for e, c in sorted(self.ints.items(), key=lambda t: t[0], reverse=True)
-        ]
-
     def __repr__(self) -> str:
-        return f"MultiPoly({self.nvars}, {dict(self.sorted_terms())!r})"
+        terms = {e: Fraction(self.ints[e], self.den) for e in sorted(self.ints, reverse=True)}
+        return f"MultiPoly({self.nvars}, {terms!r})"
 
     def __str__(self) -> str:
         return format_multipoly(self)
@@ -293,9 +284,9 @@ def format_multipoly(F: MultiPoly, first_index: int = 0) -> str:
     if F.is_zero():
         return "0"
     parts = []
-    for exp, coeff in F.sorted_terms():
-        sign = "-" if coeff < 0 else ("+" if parts else "")
-        mag = abs(coeff)
+    for exp, c in sorted(F.ints.items(), reverse=True):
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = _magnitude(c, F.den)
         factors = []
         for axis, e in enumerate(exp):
             if e == 1:
@@ -303,10 +294,10 @@ def format_multipoly(F: MultiPoly, first_index: int = 0) -> str:
             elif e > 1:
                 factors.append(f"x{first_index + axis}^{e}")
         if not factors:
-            body = str(mag)
+            body = mag
         else:
-            if mag != 1:
-                factors.insert(0, str(mag))
+            if mag != "1":
+                factors.insert(0, mag)
             body = "*".join(factors)
         parts.append(sign + body)
     return "".join(parts)

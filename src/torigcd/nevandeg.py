@@ -298,7 +298,8 @@ def _sweep_gates(cfg: SweepConfig, track: str):
                     "the characteristic track needs polynomial base functions",
                     {"g": format_ratfunc(g)},
                 )
-        if cfg.F.constant_term() == 0 and cfg.G.constant_term() == 0:
+        origin = (0,) * cfg.F.nvars
+        if origin not in cfg.F.ints and origin not in cfg.G.ints:
             raise HypothesisError(
                 "the characteristic track needs F, G not both zero at the origin"
             )

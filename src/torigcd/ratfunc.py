@@ -13,10 +13,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+from . import kernel
 from .errors import HypothesisError
 from .unipoly import (
     ONE,
     UniPoly,
+    _canon,
     divide_out,
     format_unipoly,
     is_squarefree,
@@ -41,11 +43,12 @@ class RationalFunction:
         if num.is_zero():
             den = ONE
         else:
-            _, num, den = uni_gcd_cofactors(num, den)
-            lc = den.lc
-            if lc != 1:
-                num = num / lc
-                den = den / lc
+            # num/den = (a/num.den) / (b/den.den) with a, b the cofactors of the
+            # gcd; dividing both by b's leading coefficient makes den monic
+            _, a, b = kernel.gcd_cofactors(num.ints, den.ints)
+            lb = b[-1]
+            num = _canon([x * den.den for x in a], num.den * lb)
+            den = _canon(b, lb)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -62,7 +65,7 @@ class RationalFunction:
 
     @staticmethod
     def constant(c: Scalar) -> "RationalFunction":
-        return RationalFunction(UniPoly.constant(c))
+        return RationalFunction._coprime(UniPoly.constant(c), ONE)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -76,7 +79,7 @@ class RationalFunction:
     def as_constant(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant rational function")
-        return self.num.lc if not self.num.is_zero() else Fraction(0)
+        return Fraction(self.num.ints[0], self.num.den) if self.num.ints else Fraction(0)
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -142,8 +145,7 @@ class RationalFunction:
         if k < 0:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
-            lc = self.num.lc
-            return RationalFunction._coprime(self.den / lc, self.num / lc) ** -k
+            return RationalFunction(self.den, self.num) ** -k
         if k == 1:
             return self
         return RationalFunction._coprime(self.num**k, self.den**k)
@@ -317,7 +319,9 @@ def coprime_basis(ps: Sequence[UniPoly]) -> "tuple[UniPoly, ...]":
                 break
         else:
             basis.append(p)
-    basis.sort(key=lambda q: (q.degree, q.coeffs))
+    # numerators over one positive common denominator order as the coefficients do
+    common = math.lcm(*(q.den for q in basis))
+    basis.sort(key=lambda q: (q.degree, tuple(c * (common // q.den) for c in q.ints)))
     return tuple(basis)
 
 

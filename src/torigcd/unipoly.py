@@ -5,10 +5,10 @@ trailing zeros) over one positive denominator ``den``, in lowest terms:
 gcd(content(ints), den) = 1, and the zero polynomial is ((), 1).  The form
 is canonical, so two polynomials are equal iff their (ints, den) pairs are,
 and hashing is exact.  Arithmetic, evaluation and gcds run on the integer
-lists (products and gcds in the integer kernel); ``coeffs`` and ``lc`` give
-Fraction views for callers that want them.  The degree of the zero
-polynomial is the sentinel -1 (callers that rely on deg(0) = -infinity
-semantics must special-case zero).
+lists (products and gcds in the integer kernel); ``coeffs`` gives a Fraction
+view for the edges that want one.  The degree of the zero polynomial is
+the sentinel -1 (callers that rely on deg(0) = -infinity semantics must
+special-case zero).
 
 Division (``divmod``, and through it ``exact_div``) and ``divide_out``
 are exact only: they divide the integer numerators by the primitive part
@@ -57,7 +57,7 @@ class UniPoly:
     @staticmethod
     def monomial(k: int) -> "UniPoly":
         """z^k."""
-        return UniPoly([0] * k + [1])
+        return _new((0,) * k + (1,), 1)
 
     @property
     def coeffs(self) -> "tuple[Fraction, ...]":
@@ -69,11 +69,6 @@ class UniPoly:
     def degree(self) -> int:
         """Degree, with -1 as the zero-polynomial sentinel."""
         return len(self.ints) - 1
-
-    @property
-    def lc(self) -> Fraction:
-        """Leading coefficient; 0 for the zero polynomial."""
-        return Fraction(self.ints[-1], self.den) if self.ints else Fraction(0)
 
     def is_zero(self) -> bool:
         return not self.ints
@@ -385,6 +380,12 @@ def squarefree_parts(p: UniPoly) -> "list[UniPoly]":
     return parts
 
 
+def _magnitude(c: int, den: int) -> str:
+    """|c|/den in lowest terms, as 'p' or 'p/q'."""
+    g = math.gcd(c, den)
+    return str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
+
+
 def format_unipoly(p: UniPoly) -> str:
     """Render in the CLI grammar: '+', '-', '*', '^', rationals as p/q."""
     if p.is_zero():
@@ -396,9 +397,7 @@ def format_unipoly(p: UniPoly) -> str:
         if not c:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
-        g = math.gcd(c, den)
-        num, d = abs(c) // g, den // g
-        mag = str(num) if d == 1 else f"{num}/{d}"
+        mag = _magnitude(c, den)
         if i == 0:
             body = mag
         else:

@@ -226,6 +226,28 @@ def test_sweep_bad_range_is_usage_error(extra, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "gcd-sweep" in captured.err
+    if extra[0] == "--epsilon":  # '-1/3' too reaches the sweep's own check
+        assert "epsilon must be positive" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, at",
+    [
+        (["gcd-sweep", "--F", "-x1+1", "--G", "x2-1", "--g", "z", "--g", "z+1", "--kmax", "5"], 1),
+        (["bs-check", "--F", "-x0-x1", "--G", "x0-2*x1", "--m", "3", "--g", "z^3", "--g", "z+1", "--place", "z"], 1),
+        (["basis", "--F1", "-x0", "--F2", "x1", "--m", "2"], 1),
+        (["indep", "--g", "-z", "--g", "z+1"], 1),
+        (["wronskian-check", "--eta", "-z", "--eta", "z^2", "--place", "z"], 1),
+        (["wronskian-check", "--eta", "z", "--eta", "z^2", "--place", "-z"], 5),
+        (["exp-slopes", "--a", "-1/2", "--b", "2", "--kmax", "3"], 1),
+    ],
+)
+def test_value_with_leading_minus_reads_as_its_equals_form(argv, at, capsys):
+    joined = argv[:at] + [f"{argv[at]}={argv[at + 1]}"] + argv[at + 2 :]
+    code = run(argv)
+    out = capsys.readouterr().out
+    assert code != 3
+    assert (run(joined), capsys.readouterr().out) == (code, out)
 
 
 @pytest.mark.parametrize(

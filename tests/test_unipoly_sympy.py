@@ -151,7 +151,7 @@ def test_monic_and_derivative(p):
     P = to_sympy(p)
     check(p.monic(), P.monic() if not p.is_zero() else P)
     check(p.derivative(), P.diff(z))
-    assert p.lc == frac(P.LC())
+    assert (Fraction(p.ints[-1], p.den) if p.ints else 0) == frac(P.LC())
 
 
 @given(polys, points)
