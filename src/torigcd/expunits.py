@@ -263,22 +263,21 @@ def exp_asym_ratio(a: QuadExt, b: QuadExt, k: int) -> QuadExt:
     positive constant for every k, which is exactly why independence is
     needed for the vanishing-ratio conclusion.
     """
-    return _asym_row(a, b, k)[2]
-
-
-def _asym_row(a: QuadExt, b: QuadExt, k: int) -> Tuple[QuadExt, QuadExt, QuadExt]:
-    """exp_ngcd_slope at k, its scale k max(|a|, |b|) and their ratio."""
-    scale = QuadExt.rational(k) * max(abs(a), abs(b))
-    ngcd = exp_ngcd_slope(a, b, k)
-    return ngcd, scale, ngcd / scale
+    return exp_ngcd_slope(a, b, k) / (QuadExt.rational(k) * max(abs(a), abs(b)))
 
 
 def exp_slope_table(a: QuadExt, b: QuadExt, k_max: int) -> List[tuple]:
     """Rows (k, exp_ngcd_slope, k max(|a|, |b|), exp_asym_ratio), one per k = 1..k_max,
-    so k_max is held to MAX_POWER_DEGREE, the most rows a power sweep accepts."""
+    so k_max is held to MAX_POWER_DEGREE, the most rows a power sweep accepts.
+    Both slopes are k times their k = 1 values, so the ratio is one number."""
     if not 1 <= k_max <= MAX_POWER_DEGREE:
         raise UsageError(f"k_max must be in 1..{MAX_POWER_DEGREE}, the row cap")
-    return [(k, *_asym_row(a, b, k)) for k in range(1, k_max + 1)]
+    ngcd, scale = exp_ngcd_slope(a, b, 1), max(abs(a), abs(b))
+    ratio = ngcd / scale
+    return [
+        (k, QuadExt.rational(k) * ngcd, QuadExt.rational(k) * scale, ratio)
+        for k in range(1, k_max + 1)
+    ]
 
 
 @dataclass(frozen=True)

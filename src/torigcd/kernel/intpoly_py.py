@@ -70,11 +70,8 @@ def primitive_part(a: IntPoly) -> IntPoly:
 def gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     """Primitive gcd with positive leading coefficient, by GCDHEU.
 
-    The first element of ``gcd_cofactors(f, g)``, without building the
-    cofactors when an input is constant.
+    The first element of ``gcd_cofactors(f, g)``.
     """
-    if len(f) == 1 or len(g) == 1:
-        return [1]
     return gcd_cofactors(f, g)[0]
 
 
@@ -82,16 +79,13 @@ def gcd_cofactors(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly, IntPoly]":
     """(h, f/h, g/h) with h = gcd(f, g) primitive, positive leading coefficient.
 
     GCDHEU: primitive a, b are evaluated at growing integer points x; the
-    balanced base-x digits of gcd(a(x), b(x)) spell a candidate, and the
-    first whose primitive part divides both a and b is h.  From the first
-    point on, x >= 2*min(|a|, |b|) + 2 (max norms), such a candidate is the
-    gcd (Char, Geddes and Gonnet, JSC 1989).  The divisibility check
-    computes a/h and b/h; scaled by the signed contents f/a and g/b they are
-    the cofactors, so h * (f/h) == f and h * (g/h) == g hold exactly.  A
-    value gcd v with 2*v <= x is a single balanced digit, so its candidate
-    is 1, which divides both: f and g are coprime, and no interpolation is
-    needed.  Larger values spell at least two digits.  (v >= 1, since by
-    Cauchy's bound the input of smaller norm has no root at x.)
+    value gcd v = gcd(a(x), b(x)) gives a candidate (``_candidate``), and
+    the first that divides both a and b is h, by the theorem ``_candidate``
+    cites.  The divisibility check computes a/h and b/h; scaled by the
+    signed contents f/a and g/b they are the cofactors, so h * (f/h) == f
+    and h * (g/h) == g hold exactly.  A candidate 1 divides both: f and g
+    are coprime.  (v >= 1, since by Cauchy's bound the input of smaller
+    norm has no root at x.)
 
     The loop ends.  Write a = G*a', b = G*b' with G = gcd(a, b).  Then
     gcd(a(x), b(x)) = |G(x)| * c with c = gcd(a'(x), b'(x)), and c divides
@@ -112,16 +106,45 @@ def gcd_cofactors(f: IntPoly, g: IntPoly) -> "tuple[IntPoly, IntPoly, IntPoly]":
     if not b:
         return a, [f[-1] // a[-1]], []
     for x in _heu_points(a, b):
-        v = math.gcd(_evaluate(a, x), _evaluate(b, x))
-        if 2 * v <= x:
+        h = _candidate(math.gcd(_evaluate(a, x), _evaluate(b, x)), x)
+        if len(h) == 1:
             return [1], list(f), list(g)
-        h = primitive_part(_interpolate(v, x))
         qa = exact_quotient(a, h)
         if qa is None:
             continue
         qb = exact_quotient(b, h)
         if qb is not None:
             return h, _scaled(qa, f[-1] // a[-1]), _scaled(qb, g[-1] // b[-1])
+
+
+def _candidate(v: int, x: int) -> IntPoly:
+    """GCDHEU's candidate gcd at the point x from the value gcd v >= 1.
+
+    Theorem (Char, Geddes and Gonnet, JSC 1989): for nonzero a, b in Z[z]
+    with v = gcd(a(x), b(x)) and x >= 2*min(|a|, |b|) + 2 (max norms), a
+    candidate that divides a and b is the primitive part of gcd(a, b).  For
+    h = s/c, s spelled by the balanced base-x digits of v, a common factor C
+    of a/h and b/h has its roots below 1 + min(|a|, |b|) <= x/2 (Cauchy), so
+    |C(x)| > x/2 unless C is constant; but C(x) divides c, and |c| <= x/2
+    like the digits, so a/h and b/h are coprime.  A v with 2*v <= x is one
+    digit, so the candidate is [1] and a, b are coprime; a larger v spells
+    two digits or more.
+    """
+    if 2 * v <= x:
+        return [1]
+    return primitive_part(_interpolate(v, x))
+
+
+def _power(base, k: int, mul):
+    """base^k for k >= 1 by squaring, with mul(p, q) the product of any two powers."""
+    result = None
+    while True:
+        if k & 1:
+            result = base if result is None else mul(result, base)
+        k >>= 1
+        if not k:
+            return result
+        base = mul(base, base)
 
 
 def _scaled(a: IntPoly, c: int) -> IntPoly:

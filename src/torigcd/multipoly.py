@@ -25,11 +25,11 @@ from types import MappingProxyType
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from . import kernel
-from .kernel.intpoly_py import _heu_points, _interpolate
+from .kernel.intpoly_py import _heu_points, _interpolate, _power
 from .ratfunc import RationalFunction
 from .unipoly import UniPoly
 from .unipoly import _canon as _canon_unipoly
-from .unipoly import _magnitude
+from .unipoly import _render
 
 Exponent = Tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -202,16 +202,7 @@ class MultiPoly:
         if k == 0:
             return MultiPoly.constant(self.nvars, 1)
         # content^k stays coprime to den^k, so the power needs no reduction
-        result = None
-        base = self.ints
-        e = k
-        while e:
-            if e & 1:
-                result = base if result is None else _mul_maps(result, base)
-            e >>= 1
-            if e:
-                base = _mul_maps(base, base)
-        return _new(self.nvars, result, self.den**k)
+        return _new(self.nvars, _power(self.ints, k, _mul_maps), self.den**k)
 
     def mul_monomial(self, exp: Exponent) -> "MultiPoly":
         """Product with x^exp: an exponent shift, which keeps the form canonical."""
@@ -281,26 +272,12 @@ def _mul_maps(a: IntMap, b: IntMap) -> IntMap:
 
 def format_multipoly(F: MultiPoly, first_index: int = 0) -> str:
     """Render in the CLI grammar with variables x<first_index>, x<first_index+1>, ..."""
-    if F.is_zero():
-        return "0"
-    parts = []
-    for exp, c in sorted(F.ints.items(), reverse=True):
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = _magnitude(c, F.den)
-        factors = []
-        for axis, e in enumerate(exp):
-            if e == 1:
-                factors.append(f"x{first_index + axis}")
-            elif e > 1:
-                factors.append(f"x{first_index + axis}^{e}")
-        if not factors:
-            body = mag
-        else:
-            if mag != "1":
-                factors.insert(0, mag)
-            body = "*".join(factors)
-        parts.append(sign + body)
-    return "".join(parts)
+    names = [f"x{first_index + axis}" for axis in range(F.nvars)]
+    terms = [
+        (c, "*".join([v if e == 1 else f"{v}^{e}" for v, e in zip(names, exp) if e]))
+        for exp, c in sorted(F.ints.items(), reverse=True)
+    ]
+    return _render(terms, F.den)
 
 
 def homogenize(F: MultiPoly, d: int) -> MultiPoly:

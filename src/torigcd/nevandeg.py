@@ -18,7 +18,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .errors import HypothesisError, UsageError
-from .kernel.intpoly_py import IntPoly, _evaluate, _interpolate, content, mul, primitive_part
+from .kernel.intpoly_py import IntPoly, _candidate, _evaluate, _power, mul
 from .multipoly import (
     MultiPoly,
     coprime_multivariate,
@@ -268,7 +268,7 @@ def _sweep_gates(cfg: SweepConfig, track: str):
     if cfg.F.is_zero() or cfg.G.is_zero():
         raise HypothesisError("sweep polynomials must be nonzero")
     bases, plans = _point_plan(cfg)
-    top = max(1, *(char_slope(g) for g in cfg.gs), *(D for _, D, _, _ in plans))
+    top = max(1, *(char_slope(g) for g in cfg.gs), *(D for D, _, _ in plans))
     if cfg.k_max * top > MAX_POWER_DEGREE:
         raise UsageError(
             f"k_max {cfg.k_max} times {top}, the degree per step of g^k,"
@@ -306,62 +306,81 @@ def _sweep_gates(cfg: SweepConfig, track: str):
     return bases, plans
 
 
-def _horner_plan(terms: Sequence[Tuple[Tuple[int, ...], int]], axis: int = 0):
-    """Nested Horner plan of integer terms, one variable at a time.
+def _horner_plan(terms: Sequence[Tuple[Tuple[int, ...], int]], tops: Sequence[int]):
+    """Nested Horner plan of integer terms, (levels, coefficients), walked bottom up.
 
-    The plan groups the terms by their exponent e of variable ``axis`` and
-    lists (e, plan of the group in the later variables) by descending e;
-    past the last variable a plan is the term's coefficient.
+    The terms are grouped by their exponent of each variable in turn; a
+    level, from the last variable to the first, is (axis, t_axis, nodes) with
+    one node per group of the level above, listing (e, index of its subgroup
+    of exponent e) by descending e.  Nothing recurses per variable, so no
+    number of variables meets Python's call depth.
     """
-    if axis == len(terms[0][0]):
-        return terms[0][1]
-    groups: dict = {}
-    for e, c in terms:
-        groups.setdefault(e[axis], []).append((e, c))
-    return [(j, _horner_plan(groups[j], axis + 1)) for j in sorted(groups, reverse=True)]
+    groups = [terms]
+    levels = []
+    for axis, t in enumerate(tops):
+        nodes, subgroups = [], []
+        for group in groups:
+            by_exp: dict = {}
+            for term in group:
+                by_exp.setdefault(term[0][axis], []).append(term)
+            node = []
+            for j in sorted(by_exp, reverse=True):
+                node.append((j, len(subgroups)))
+                subgroups.append(by_exp[j])
+            nodes.append(node)
+        levels.append((axis, t, nodes))
+        groups = subgroups
+    return levels[::-1], [group[0][1] for group in groups]
 
 
-def _horner(plan, tops: Sequence[int], xs: Sequence[int], ys: Sequence[int], axis: int = 0) -> int:
-    """sum_e c_e prod_i xs_i^e_i ys_i^(tops_i - e_i) over the plan's terms."""
-    if axis == len(xs):
-        return plan
-    x, y = xs[axis], ys[axis]
-    prev = plan[0][0]
-    ypow = y ** (tops[axis] - prev)  # y^(t - e) for the current exponent e
-    acc = 0
-    for j, sub in plan:
-        if j < prev:
-            acc *= x ** (prev - j)
-            ypow *= y ** (prev - j)
-            prev = j
-        acc += _horner(sub, tops, xs, ys, axis + 1) * ypow
-    return acc * x**prev
+def _horner(plan, xs: Sequence[int], ys: Sequence[int]) -> int:
+    """sum_e c_e prod_i xs_i^e_i ys_i^(t_i - e_i) over the plan's terms."""
+    levels, values = plan
+    for axis, t, nodes in levels:
+        x, y = xs[axis], ys[axis]
+        out = []
+        for node in nodes:
+            prev = node[0][0]
+            ypow = y ** (t - prev)  # y^(t - e) for the current exponent e
+            acc = 0
+            for j, i in node:
+                if j < prev:
+                    acc *= x ** (prev - j)
+                    ypow *= y ** (prev - j)
+                    prev = j
+                acc += values[i] * ypow
+            out.append(acc * x**prev)
+        values = out
+    return values[0]
 
 
 def _point_plan(cfg: SweepConfig):
     """(bases, plans) of a sweep, for ``_degree_at_point`` and ``_point_bits``.
 
-    A base g_i = (u_i/a_i)/(w_i/b_i), u_i, w_i integer polynomials, gives
-    (u_i, n_i, d_i) with n_i = ||u_i||_1 b_i and d_i = ||w_i||_1 a_i, so a
-    polynomial base is g_i = u_i/d_i.  plans holds (t, D, Horner plan, plan
-    of the |c_e|) for P = F, G, t_i = deg_{x_i} P and D = sum_i t_i deg g_i.
-    Up to a scalar, as in ``substitute``, P(g^k) has the numerator
+    Only the variables that F or G uses enter, in increasing order; the
+    other bases change no value.  A base g_i = (u_i/a_i)/(w_i/b_i), u_i,
+    w_i integer polynomials, gives (u_i, n_i, d_i) with n_i = ||u_i||_1 b_i
+    and d_i = ||w_i||_1 a_i, so a polynomial base is g_i = u_i/d_i.  plans
+    holds (D, Horner plan, plan of the |c_e|) for P = F, G, t_i = deg_{x_i} P
+    and D = sum_i t_i deg g_i.  Up to a scalar, as in ``substitute``, P(g^k)
+    has the numerator
     N_P = sum_e c_e prod_i (u_i b_i)^(k e_i) (w_i a_i)^(k (t_i - e_i)), of
     degree at most k D and 1-norm at most beta_P (``_betas``).
     """
+    axes = sorted({i for P in (cfg.F, cfg.G) for e in P.ints for i, x in enumerate(e) if x})
+    gs = [cfg.gs[i] for i in axes]
     bases = [
         (g.num.ints, sum(map(abs, g.num.ints)) * g.den.den, sum(map(abs, g.den.ints)) * g.num.den)
-        for g in cfg.gs
+        for g in gs
     ]
     plans = []
     for P in (cfg.F, cfg.G):
-        terms = list(P.ints.items())
-        tops = [max(P.degree_in(axis), 0) for axis in range(P.nvars)]
+        terms = [(tuple(e[i] for i in axes), c) for e, c in P.ints.items()]
+        tops = [max(e[axis] for e, _ in terms) for axis in range(len(axes))]
         plans.append((
-            tops,
-            sum(t * char_slope(g) for t, g in zip(tops, cfg.gs)),
-            _horner_plan(terms),
-            _horner_plan([(e, abs(c)) for e, c in terms]),
+            sum(t * char_slope(g) for t, g in zip(tops, gs)),
+            _horner_plan(terms, tops),
+            _horner_plan([(e, abs(c)) for e, c in terms], tops),
         ))
     return bases, plans
 
@@ -370,7 +389,7 @@ def _betas(k: int, bases, plans) -> List[int]:
     """[beta_F, beta_G] at k, beta_P = sum_e |c_e| prod_i n_i^(k e_i) d_i^(k (t_i - e_i))."""
     norms = [n**k for _, n, _ in bases]
     ys = [d**k for _, _, d in bases]
-    return [_horner(absplan, tops, norms, ys) for tops, _, _, absplan in plans]
+    return [_horner(absplan, norms, ys) for _, _, absplan in plans]
 
 
 def _point_bits(cfg: SweepConfig, bases, plans) -> List[int]:
@@ -382,7 +401,7 @@ def _point_bits(cfg: SweepConfig, bases, plans) -> List[int]:
     betas = _betas(cfg.k_max, bases, plans)
     x_bits = (2 * min(betas) + 2).bit_length()
     return [
-        max(k * D * x_bits + beta.bit_length() for (_, D, _, _), beta in zip(plans, betas))
+        max(k * D * x_bits + beta.bit_length() for (D, _, _), beta in zip(plans, betas))
         for k in range(cfg.k_min, cfg.k_max + 1, cfg.k_step)
     ]
 
@@ -392,7 +411,7 @@ def _values_at(x: int, k: int, bases, plans) -> Iterator[int]:
     Horner plans; N_G(x) is computed only when asked for."""
     ys = [d**k for _, _, d in bases]
     xs = [_evaluate(u, x) ** k for u, _, _ in bases]
-    return (_horner(plan, tops, xs, ys) for tops, _, plan, _ in plans)
+    return (_horner(plan, xs, ys) for _, plan, _ in plans)
 
 
 class _Residue:
@@ -401,7 +420,8 @@ class _Residue:
     ``H`` lists H's coefficients below its leading 1, so reduction needs no
     division and the residues form a ring over Z.  It carries the operations
     ``_horner`` performs, ints acting as scalars, so the Horner plans run on
-    residues unchanged.
+    residues unchanged: sums, products, and powers by the kernel's
+    ``_power``, with the int 1 as the power 0 that ``_horner`` takes.
     """
 
     __slots__ = ("c", "H")
@@ -430,15 +450,8 @@ class _Residue:
 
     __rmul__ = __mul__
 
-    def __pow__(self, e: int):
-        out, base = 1, self
-        while e:
-            if e & 1:
-                out = base * out
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+    def __pow__(self, k: int):
+        return _power(self, k, _Residue.__mul__) if k else 1
 
     def __bool__(self) -> bool:
         return any(self.c)
@@ -460,38 +473,27 @@ def _divides_numerators(h: IntPoly, k: int, bases, plans) -> bool:
     Us = [[uj * l ** (len(u) - 1 - j) for j, uj in enumerate(u)] for u, _, _ in bases]
     xs = [_evaluate(U, -H[0]) ** k if n == 1 else _Residue(U, H) ** k for U in Us]
     ys = [(d * l ** (len(u) - 1)) ** k for u, _, d in bases]
-    return not any(_horner(plan, tops, xs, ys) for tops, _, plan, _ in plans)
+    return not any(_horner(plan, xs, ys) for _, plan, _ in plans)
 
 
 def _degree_at_point(k: int, bases, plans) -> Optional[int]:
     """deg gcd of the numerators N_F, N_G of F(g^k) and G(g^k), or None.
 
     ``bases`` and ``plans`` come from ``_point_plan``, where N_P has 1-norm
-    at most beta_P; by Cauchy's bound every root a of N_P has |a| < 1 + beta_P.
-    The row is read at the one point x = 2 min(beta_F, beta_G) + 2, without
-    building N_F or N_G; None means the point cannot decide it.
-
-    Both values A = N_F(x), B = N_G(x) must be nonzero; let v = gcd(A, B).
-    Take a nonconstant common factor C of N_F and N_G primitive in Z[z]; by
-    Gauss's lemma it divides both in Z[z], so C(x) divides both values.
-    Every root a of C lies below 1 + min(beta_F, beta_G) = x/2 in absolute
-    value, so |C(x)| >= prod |x - a| > (x/2)^(deg C) >= x/2.  So 2 v < x
-    leaves no such C, and the row is 0.  This is GCDHEU's first point (Char,
-    Geddes and Gonnet, JSC 1989) with the norms bounded from the bases.
-
-    Otherwise GCDHEU's candidate is read from the same v: the balanced
-    base-x digits of v spell s with s(x) = v, and h = s / c, c the content
-    of s with the sign of lc(s), is primitive with h(x) = v / c, which
-    divides A and B and leaves cofactor values of gcd |c|.  Suppose h
-    divides N_F and N_G in Z[z] (``_divides_numerators``).  A common factor
-    C of N_F / h and N_G / h divides both, so as above |C(x)| > x/2, and
-    C(x) divides A / h(x) and B / h(x), hence |c|.  So when 2 |c| < x,
-    N_F / h and N_G / h are coprime and deg gcd(N_F, N_G) = deg h.  A
-    constant s has |c| = v >= x/2 and falls back.  Before that proof a
-    cheaper test rejects most spurious candidates: if h divides N_P in Z[z]
-    then h(x+1) divides N_P(x+1).  x is even, so x+1 has the bit length of x
-    and ``_point_bits`` bounds these values too; h(x+1) is nonzero, since
-    the digits lie within x/2 in absolute value, so by Cauchy's bound every
+    at most beta_P.  The row is read at the one point
+    x = 2 min(beta_F, beta_G) + 2, without building N_F or N_G; None means
+    the point cannot decide it.  A 1-norm bounds the max norm, so
+    x >= 2 min(|N_F|, |N_G|) + 2 in max norms, the bound of GCDHEU's
+    theorem (``kernel.intpoly_py._candidate``; Char, Geddes and Gonnet, JSC
+    1989).  Both values A = N_F(x), B = N_G(x) must be nonzero, and h is
+    the candidate from gcd(A, B).  By the theorem, a candidate 1 leaves the
+    row 0, and otherwise h is the primitive part of gcd(N_F, N_G), so the
+    row is deg h, once ``_divides_numerators`` proves that h divides N_F
+    and N_G in Z[z].  Before that proof a cheaper test rejects most
+    spurious candidates: if h divides N_P in Z[z] then h(x+1) divides
+    N_P(x+1).  x is even, so x+1 has the bit length of x and
+    ``_point_bits`` bounds these values too; h(x+1) is nonzero, since the
+    digits lie within x/2 in absolute value, so by Cauchy's bound every
     root of h lies below 1 + x/2 < x + 1.
 
     The reduced numerators of F(g^k) and G(g^k) are N_F and N_G up to
@@ -504,13 +506,9 @@ def _degree_at_point(k: int, bases, plans) -> Optional[int]:
     a, b = _values_at(x, k, bases, plans)
     if not a or not b:
         return None
-    v = math.gcd(a, b)
-    if 2 * v < x:
+    h = _candidate(math.gcd(a, b), x)
+    if len(h) == 1:
         return 0
-    s = _interpolate(v, x)
-    if 2 * content(s) >= x:
-        return None
-    h = primitive_part(s)
     hx = _evaluate(h, x + 1)
     if any(value % hx for value in _values_at(x + 1, k, bases, plans)):
         return None

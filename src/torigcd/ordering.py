@@ -1,10 +1,11 @@
 """Monomial orderings: lexicographic, and weight orders with lex tie-break.
 
-compare() returns -1/0/1.  Lex declares a >= b when the left-most nonzero
-entry of a - b is positive, which coincides with tuple comparison; a weight
-order compares u.a against u.b first and falls back to lex on ties.  Both are
-total orders compatible with monomial multiplication and bounded below by the
-constant monomial.
+Each order is a sort key, and compare() returns -1/0/1 from the keys.  Lex
+declares a >= b when the left-most nonzero entry of a - b is positive, which
+is tuple comparison, so its key is a itself; a weight order's key (u.a, a)
+compares u.a first and falls back to lex on ties.  Both are total orders
+compatible with monomial multiplication and bounded below by the constant
+monomial.
 """
 
 from __future__ import annotations
@@ -23,15 +24,20 @@ class MonomialOrder:
 
     arity: "int | None" = None
 
-    def compare(self, a: Exponent, b: Exponent) -> int:
+    def key(self, e: Exponent):
+        """A value whose tuple order is the monomial order on exponents of one length."""
         raise NotImplementedError
 
-
-class Lex(MonomialOrder):
     def compare(self, a: Exponent, b: Exponent) -> int:
         if len(a) != len(b):
             raise ValueError("exponent length mismatch")
-        return (a > b) - (a < b)
+        ka, kb = self.key(a), self.key(b)
+        return (ka > kb) - (ka < kb)
+
+
+class Lex(MonomialOrder):
+    def key(self, e: Exponent) -> Exponent:
+        return e
 
     def __repr__(self) -> str:
         return "Lex()"
@@ -58,14 +64,10 @@ class Weight(MonomialOrder):
         self.u = u
         self.arity = len(u)
 
-    def compare(self, a: Exponent, b: Exponent) -> int:
-        if len(a) != len(b) or len(a) != len(self.u):
+    def key(self, e: Exponent) -> "tuple[int, Exponent]":
+        if len(e) != len(self.u):
             raise ValueError("exponent length mismatch")
-        wa = sum(w * x for w, x in zip(self.u, a))
-        wb = sum(w * x for w, x in zip(self.u, b))
-        if wa != wb:
-            return 1 if wa > wb else -1
-        return (a > b) - (a < b)
+        return sum(w * x for w, x in zip(self.u, e)), e
 
     def __repr__(self) -> str:
         return f"Weight({list(self.u)!r})"
@@ -92,11 +94,7 @@ def trailing_monomial(F: MultiPoly, order: MonomialOrder) -> Exponent:
     """Smallest exponent vector of a nonzero polynomial under the order."""
     if F.is_zero():
         raise ValueError("trailing monomial of the zero polynomial")
-    best = None
-    for exp in F.ints:
-        if best is None or order.compare(exp, best) < 0:
-            best = exp
-    return best
+    return min(F.ints, key=order.key)
 
 
 def parse_order(text: str) -> MonomialOrder:

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 from . import kernel
+from .kernel.intpoly_py import _power
 
 Scalar = Union[int, Fraction]
 
@@ -150,19 +151,10 @@ class UniPoly:
     def __pow__(self, k: int) -> "UniPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        if not self.ints:
-            return ONE if k == 0 else ZERO
+        if k == 0:
+            return ONE
         # content^k stays coprime to den^k, so the power needs no reduction
-        result: "list[int]" = [1]
-        base = list(self.ints)
-        e = k
-        while e:
-            if e & 1:
-                result = kernel.mul(result, base)
-            e >>= 1
-            if e:
-                base = kernel.mul(base, base)
-        return _new(tuple(result), self.den**k)
+        return _new(tuple(_power(self.ints, k, kernel.mul)), self.den**k)
 
     def __divmod__(self, other: "UniPoly"):
         """(self / other, ZERO) when other divides self; exact division only.
@@ -386,22 +378,21 @@ def _magnitude(c: int, den: int) -> str:
     return str(abs(c) // g) if g == den else f"{abs(c) // g}/{den // g}"
 
 
+def _render(terms: "Iterable[tuple[int, str]]", den: int) -> str:
+    """The sum of c/den times each monomial, over (c, monomial text) terms.
+
+    The CLI grammar: the sign of each term, its magnitude as p or p/q, no
+    unit coefficient before a monomial ('' for 1), and '0' for the empty sum.
+    """
+    parts = []
+    for c, mono in terms:
+        mag = _magnitude(c, den)
+        body = f"{mag}*{mono}" if mono and mag != "1" else mono or mag
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
+    return "".join(parts) or "0"
+
+
 def format_unipoly(p: UniPoly) -> str:
     """Render in the CLI grammar: '+', '-', '*', '^', rationals as p/q."""
-    if p.is_zero():
-        return "0"
-    den = p.den
-    parts = []
-    for i in range(p.degree, -1, -1):
-        c = p.ints[i]
-        if not c:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = _magnitude(c, den)
-        if i == 0:
-            body = mag
-        else:
-            v = "z" if i == 1 else f"z^{i}"
-            body = v if mag == "1" else f"{mag}*{v}"
-        parts.append(sign + body)
-    return "".join(parts)
+    terms = [(c, "z" if i == 1 else f"z^{i}" if i else "") for i, c in enumerate(p.ints) if c]
+    return _render(reversed(terms), p.den)

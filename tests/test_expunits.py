@@ -196,6 +196,43 @@ def test_asym_ratio_dichotomy(monkeypatch):
             exp_slope_table(q(1), q(Fraction(3, 2)), k_max)
 
 
+def _table_per_k(a, b, k_max):
+    """The slope table as it was built before: every row computed at its own k."""
+    rows = []
+    for k in range(1, k_max + 1):
+        scale = QuadExt.rational(k) * max(abs(a), abs(b))
+        ngcd = exp_ngcd_slope(a, b, k)
+        rows.append((k, ngcd, scale, ngcd / scale))
+    return rows
+
+
+def test_slope_table_scales_its_first_row():
+    # both slopes are k times their k = 1 values and QuadExt values are
+    # canonical, so the scaled rows equal and print like the per-k rows
+    rng = random.Random(30)
+    pairs = []
+    for _ in range(40):
+        d = rng.choice([2, 3, 5, 7])
+        a = q(rng.randint(-5, 5) or 1, rng.randint(-3, 3), rng.choice([1, d]))
+        ratio = Fraction(rng.randint(-6, 6) or 1, rng.randint(1, 6))
+        pairs.append((a, a * q(ratio)))  # dependent, rational or irrational a
+        # mostly independent: b/a irrational
+        pairs.append((a, q(rng.randint(-4, 4), rng.randint(-3, 3) or 1, d) * a))
+    pairs += [(q(1), q(Fraction(-3, 2))), (q(0, -1, 2), q(0, 3, 2)), (q(-2), q(0, 1, 5))]
+    kinds = set()
+    for a, b in pairs:
+        if a.is_zero() or b.is_zero():
+            continue
+        got = exp_slope_table(a, b, 25)
+        assert got == _table_per_k(a, b, 25)
+        assert [tuple(map(str, row)) for row in got] == [
+            tuple(map(str, row)) for row in _table_per_k(a, b, 25)
+        ]
+        kinds.add(((b / a).is_rational(), a.is_rational(), a.sign(), b.sign()))
+    assert {(True, False), (True, True), (False, False)} <= {k[:2] for k in kinds}
+    assert {s for k in kinds for s in k[2:]} == {-1, 1}
+
+
 def test_borel_paired_cancellation():
     units = [
         ExpUnit(q(1), q(1)),

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import pytest
 
-from torigcd import kernel, nevandeg
+from torigcd import cli, kernel, nevandeg
 from torigcd.errors import HypothesisError, UsageError
 from torigcd.kernel.intpoly_py import _interpolate
 from torigcd.nevandeg import SweepConfig, gcd_sweep, tgcd_sweep
@@ -320,3 +320,51 @@ def test_sweep_range_comes_before_every_other_check(run, kw, rule, monkeypatch):
     ):
         with pytest.raises(UsageError, match=rule):
             run(cfg)
+
+
+def _many_bases(count):
+    return [arg for i in range(1, count + 1) for arg in ("--g", f"z+{i}")]
+
+
+def test_sweep_over_many_bases_walks_only_the_used_variables(capsys):
+    # F and G use x1 and x2 of 600: the point plans cover those two, so the
+    # Horner walk is as flat as with two bases; at k = 6 the numerators
+    # (z+1)^6 - 1 and (z+2)^6 - 1 share z^2+3z+3
+    argv = ["gcd-sweep", "--F", "x1-1", "--G", "x2-1", *_many_bases(600), "--kmax", "6"]
+    assert cli.run(argv) == 1
+    rows = capsys.readouterr().out.splitlines()
+    body = rows[rows.index("k,gcd_degree,scale,ratio") + 1 :]
+    assert body[:6] == [f"{k},0,{k},0" for k in range(1, 6)] + ["6,2,6,1/3"]
+
+
+def test_sweep_in_many_used_variables_needs_no_nested_calls(capsys):
+    # F uses all 600 variables, one level each in its Horner plan
+    F = "+".join(f"x{i}" for i in range(1, 601)) + "-1"
+    argv = ["gcd-sweep", "--F", F, "--G", "x1-2", *_many_bases(600), "--kmax", "1"]
+    assert cli.run(argv) == 0
+    assert "1,0,1,0" in capsys.readouterr().out.splitlines()
+
+
+def test_many_bases_equal_the_polynomial_route(monkeypatch):
+    # bases z+1, ..., z+50 with F and G in a few of their variables, rows
+    # that share a factor among them, against the route with the point off
+    bases = [f"z+{i}" for i in range(1, 51)]
+    sweeps = [
+        _config_many("x1-1", "x2-1", bases, k_max=12),
+        _config_many("x3*x7-1", "x50-1", bases, k_max=6),
+        _config_many("x1^2-x2", "x2-1", [f"z-{i}" for i in range(1, 51)], k_max=8),
+    ]
+    got = [_outcome("n", cfg) for cfg in sweeps]
+    assert any(", gcd_degree=2," in out for out in got)
+    monkeypatch.setattr(nevandeg, "_degree_at_point", lambda *args: None)
+    assert got == [_outcome("n", cfg) for cfg in sweeps]
+
+
+def _config_many(F, G, bases, **kw):
+    n = len(bases)
+    return SweepConfig(
+        F=parse_multipoly(F, n, first_index=1),
+        G=parse_multipoly(G, n, first_index=1),
+        gs=tuple(parse_ratfunc(b) for b in bases),
+        **kw,
+    )
