@@ -29,7 +29,7 @@ from .parsing import MAX_POWER_DEGREE, MAX_SWEEP_WORK
 from .ratfunc import (
     INFINITY,
     RationalFunction,
-    coprime_basis,
+    _refine,
     divisor_exponents,
     format_ratfunc,
     valuation,
@@ -197,8 +197,15 @@ def mult_independent(gs: Sequence[RationalFunction]) -> IndependenceCertificate:
     for i, g in enumerate(gs):
         if g.is_zero():
             raise HypothesisError("independence of the zero function", {"index": i, "g": "0"})
-    basis = coprime_basis([p for g in gs for p in (g.num, g.den)])
-    rows = [divisor_vector(g, basis).exponents for g in gs]
+    # row i over the basis is the numerator's exponents (input 2i) minus the
+    # denominator's (input 2i+1), as factor refinement carried them
+    refined = _refine([p for g in gs for p in (g.num, g.den)])
+    basis = tuple(b for b, _ in refined)
+    rows = [
+        tuple(e.get(2 * i, 0) - e.get(2 * i + 1, 0) for _, e in refined)
+        + (g.den.degree - g.num.degree,)
+        for i, g in enumerate(gs)
+    ]
     independent, found = linalg.pivots_or_relation(rows)
     if not independent and not _witness_is_constant(gs, basis, rows, found):
         raise AssertionError("dependence witness failed verification")

@@ -19,12 +19,15 @@ from .unipoly import (
     ONE,
     UniPoly,
     _canon,
+    _irreducible,
+    _primitive,
+    _strip,
     divide_out,
     format_unipoly,
     is_squarefree,
-    squarefree_parts,
     uni_gcd,
     uni_gcd_cofactors,
+    yun_factors,
 )
 
 Scalar = Union[int, Fraction]
@@ -45,10 +48,12 @@ class RationalFunction:
         else:
             # num/den = (a/num.den) / (b/den.den) with a, b the cofactors of the
             # gcd; dividing both by b's leading coefficient makes den monic
-            _, a, b = kernel.gcd_cofactors(num.ints, den.ints)
+            h, a, b = kernel.gcd_cofactors(num.ints, den.ints)
             lb = b[-1]
-            num = _canon([x * den.den for x in a], num.den * lb)
-            den = _canon(b, lb)
+            # a coprime pair over a monic den is already reduced
+            if len(h) > 1 or lb != den.den:
+                num = _canon([x * den.den for x in a], num.den * lb)
+                den = _canon(b, lb)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -255,14 +260,18 @@ def place_multiplicity(p: UniPoly, place_poly: UniPoly) -> int:
     needs no coprimality test: gcd(cofactor, place) is a monic divisor of
     the place other than itself, since the place no longer divides the
     cofactor, so it is 1.  Linear places are irreducible, and so are
-    quadratics whose discriminant is not a square.
+    quadratics whose discriminant is not a square.  There only the exact
+    quotients are counted, after a root test at a linear place, and no
+    cofactor is built.
     """
     if p.is_zero():
         raise ZeroDivisionError("multiplicity of the zero polynomial")
     if p.is_constant() and place_poly.degree >= 1:
         return 0
+    if _irreducible(place_poly):
+        return _strip(p.ints, _primitive(place_poly.ints)[1])[0]
     e, p = divide_out(p, place_poly)
-    if not _irreducible(place_poly) and not uni_gcd(p, place_poly).is_constant():
+    if not uni_gcd(p, place_poly).is_constant():
         raise HypothesisError(
             "place polynomial overlaps the argument only partially",
             {"place": format_unipoly(place_poly)},
@@ -270,69 +279,146 @@ def place_multiplicity(p: UniPoly, place_poly: UniPoly) -> int:
     return e
 
 
-def _irreducible(q: UniPoly) -> bool:
-    """Whether q is linear, or quadratic with a non-square discriminant: both irreducible over Q."""
-    if q.degree == 1:
-        return True
-    if q.degree != 2:
-        return False
-    # the integer numerators' discriminant is den^2 times q's, a square iff q's is
-    c0, c1, c2 = q.ints
-    disc = c1 * c1 - 4 * c0 * c2
-    return disc < 0 or math.isqrt(disc) ** 2 != disc
-
-
 def valuation(f: RationalFunction, pl: Place) -> int:
-    """Order of vanishing of f at the place; deg den - deg num at Infinity."""
+    """Order of vanishing of f at the place; deg den - deg num at Infinity.
+
+    num and den are coprime, so a place that divides num has multiplicity
+    0 in den, with no partial overlap: den is not valued then.
+    """
     if f.is_zero():
         raise ZeroDivisionError("valuation of the zero function")
     if pl.is_infinite():
         return f.den.degree - f.num.degree
     assert pl.poly is not None
-    return place_multiplicity(f.num, pl.poly) - place_multiplicity(f.den, pl.poly)
+    v = place_multiplicity(f.num, pl.poly)
+    return v if v > 0 else -place_multiplicity(f.den, pl.poly)
+
+
+def _refine(ps: Sequence[UniPoly]) -> "list[tuple[UniPoly, dict[int, int]]]":
+    """Factor refinement of the inputs: the coprime basis with each element's exponents.
+
+    Returns the pairs (b, e_b) in ``coprime_basis`` order, where e_b maps an
+    input index j to the exponent e_j(b) >= 1 of b in ps[j] (absent: 0).
+    Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 1993)
+    keeps the invariant that ps[j] is a constant times the product over
+    all elements x, pending or placed, of x^(e_x[j]).  It is seeded with
+    each Yun factor a_i of ps[j] carrying {j: i}; when g = gcd(p, b) splits
+    two elements, g carries e_p + e_b, b/g keeps e_b and p/g keeps e_p.
+
+    Placed elements are pairwise coprime and squarefree (each divides a Yun
+    factor).  Those irreducible over Q (``_irreducible``) sit in a dict by
+    their monic polynomial, so a pending element that equals one merges
+    into it, and two distinct ones are coprime with no work.  An
+    irreducible element meets a composite one by one divisibility test
+    (``divide_out``, a root test first at a linear element), and only two
+    composites take a gcd.  When g splits b, g and b/g are coprime to every
+    placed element and to p/g, since b is squarefree and was coprime to the
+    rest, so they are placed at once while p/g goes on.
+    """
+    pending = []
+    for j, p in enumerate(ps):
+        if p.is_zero():
+            raise ZeroDivisionError("coprime_basis with a zero input")
+        pending.extend((a, {j: i}) for a, i in yun_factors(p))
+    irreducible: "dict[UniPoly, dict[int, int]]" = {}
+    composite: "list[tuple[UniPoly, dict[int, int]]]" = []
+
+    def place(x: UniPoly, ex: "dict[int, int]") -> None:
+        if x.degree < 1:
+            return
+        if _irreducible(x):
+            irreducible[x] = ex
+        else:
+            composite.append((x, ex))
+
+    while pending:
+        p, ep = pending.pop()
+        if _irreducible(p):
+            entry = irreducible.get(p)
+            if entry is not None:
+                _merge(entry, ep)
+                continue
+            for i, (b, eb) in enumerate(composite):
+                e, b_over_p = divide_out(b, p)
+                if e:
+                    del composite[i]
+                    place(b_over_p, eb)
+                    ep = _merge(dict(eb), ep)
+                    break
+            irreducible[p] = ep
+            continue
+        for q, eq in irreducible.items():
+            e, p_over_q = divide_out(p, q)
+            if e:
+                _merge(eq, ep)
+                p = p_over_q
+                if p.degree < 1 or _irreducible(p):
+                    break
+        if p.degree >= 1 and _irreducible(p):
+            pending.append((p, ep))
+            continue
+        split = []
+        i = 0
+        while p.degree >= 1 and i < len(composite):
+            b, eb = composite[i]
+            g, p, b_over_g = uni_gcd_cofactors(p, b)
+            if g.degree < 1:
+                i += 1
+                continue
+            del composite[i]
+            split += [(g, _merge(dict(eb), ep)), (b_over_g, eb)]
+            if _irreducible(p):
+                pending.append((p, ep))
+                break
+        else:
+            place(p, ep)
+        for x, ex in split:
+            place(x, ex)
+    pairs = list(irreducible.items()) + composite
+    # numerators over one positive common denominator order as the coefficients do
+    common = math.lcm(*(q.den for q, _ in pairs))
+
+    def key(pair):
+        q = pair[0]
+        return q.degree, tuple(c * (common // q.den) for c in q.ints)
+
+    return sorted(pairs, key=key)
+
+
+def _merge(into: "dict[int, int]", exps: "dict[int, int]") -> "dict[int, int]":
+    """Add the exponents exps into the map into, and return it."""
+    for j, e in exps.items():
+        into[j] = into.get(j, 0) + e
+    return into
 
 
 def coprime_basis(ps: Sequence[UniPoly]) -> "tuple[UniPoly, ...]":
     """Gcd-free basis: pairwise-coprime monic squarefree nonconstant polynomials.
 
-    Every input is a rational constant times a product of integer powers of
-    basis elements.  Seeding the refinement with the inputs' Yun factors
-    keeps all outputs squarefree, so they double as finite places.  Output
-    order is degree, then coefficient tuple.
+    For every input j, ps[j] equals a rational constant times the product
+    over the elements b of b^(e_j(b)), with e_j(b) >= 0 (``_refine``
+    carries these exponents), and the elements are pairwise coprime and
+    squarefree, so they double as finite places.  It is the coarsest basis
+    with that invariant, hence unique: each element is the product of the
+    irreducible factors that share one exponent vector (e_j)_j across the
+    inputs.  Output order is degree, then coefficient tuple.
     """
-    pending = []
-    for p in ps:
-        if p.is_zero():
-            raise ZeroDivisionError("coprime_basis with a zero input")
-        if p.degree >= 1:
-            pending.extend(squarefree_parts(p))
-    basis: "list[UniPoly]" = []
-    while pending:
-        p = pending.pop()
-        if p.degree < 1:
-            continue
-        for i, b in enumerate(basis):
-            g, p_over_g, b_over_g = uni_gcd_cofactors(p, b)
-            if g.degree >= 1:
-                basis.pop(i)
-                pending.extend((g, b_over_g, p_over_g))
-                break
-        else:
-            basis.append(p)
-    # numerators over one positive common denominator order as the coefficients do
-    common = math.lcm(*(q.den for q in basis))
-    basis.sort(key=lambda q: (q.degree, tuple(c * (common // q.den) for c in q.ints)))
-    return tuple(basis)
+    return tuple(b for b, _ in _refine(ps))
 
 
 def factor_over_basis(p: UniPoly, basis: Sequence[UniPoly]) -> "list[int]":
-    """Exponents of p over a gcd-free basis; errors if a factor is missing."""
+    """Exponents of p over a gcd-free basis; errors if a factor is missing.
+
+    A constant p has exponent 0 everywhere, and the division stops once the
+    rest is constant; a nonconstant rest raises ``ValueError``.
+    """
     if p.is_zero():
         raise ZeroDivisionError("factoring the zero polynomial")
-    exps = []
-    for b in basis:
-        e, p = divide_out(p, b)
-        exps.append(e)
+    exps = [0] * len(basis)
+    for k, b in enumerate(basis):
+        if p.is_constant():
+            break
+        exps[k], p = divide_out(p, b)
     if not p.is_constant():
         raise ValueError("input does not factor over the given basis")
     return exps

@@ -316,32 +316,74 @@ def divide_out(p: UniPoly, q: UniPoly) -> "tuple[int, UniPoly]":
         raise ZeroDivisionError("dividing out of the zero polynomial")
     if q.degree < 1:
         raise ValueError("divide_out needs a nonconstant divisor")
-    a = p.ints
     c, b = _primitive(q.ints)
-    e = 0
-    while True:
-        quot = kernel.exact_quotient(a, b)
-        if quot is None:
-            break
-        a = quot
-        e += 1
+    e, a = _strip(p.ints, b)
     if e == 0:
         return 0, p
     scale = q.den**e
     return e, _canon([x * scale for x in a], p.den * c**e)
 
 
+def _strip(a: "Sequence[int]", b: "Sequence[int]") -> "tuple[int, Sequence[int]]":
+    """(e, a / b^e) for the largest e such that b^e divides a, on integer lists.
+
+    a is nonzero and b primitive and nonconstant.  At a linear b = b1*z + b0
+    each exact quotient is preceded by a root test: a divides by b iff
+    a(-b0/b1) = 0, and a Horner evaluation at the root, homogenized by the
+    powers of b1, costs no quotient list when it does not.
+    """
+    e = 0
+    while len(b) != 2 or _vanishes_at(a, -b[0], b[1]):
+        quot = kernel.exact_quotient(a, b)
+        if quot is None:
+            break
+        a = quot
+        e += 1
+    return e, a
+
+
+def _vanishes_at(a: "Sequence[int]", n: int, d: int) -> bool:
+    """Whether the integer polynomial a vanishes at n/d (d nonzero): d^deg(a) * a(n/d) = 0."""
+    acc, dk = 0, 1
+    for c in reversed(a):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc == 0
+
+
+def _irreducible(q: UniPoly) -> bool:
+    """Whether q is linear, or quadratic with a non-square discriminant: both irreducible over Q."""
+    if q.degree == 1:
+        return True
+    if q.degree != 2:
+        return False
+    # the integer numerators' discriminant is den^2 times q's, a square iff q's is
+    c0, c1, c2 = q.ints
+    disc = c1 * c1 - 4 * c0 * c2
+    return disc < 0 or math.isqrt(disc) ** 2 != disc
+
+
 def is_squarefree(p: UniPoly) -> bool:
-    """True iff p is nonconstant with no repeated factor."""
+    """True iff p is nonconstant with no repeated factor.
+
+    A polynomial irreducible over Q (``_irreducible``) is squarefree with no
+    gcd: a linear one has one simple root, and a quadratic with a
+    non-square discriminant has a nonzero one.
+    """
     if p.degree < 1:
         return False
-    if p.degree == 1:
+    if _irreducible(p):
         return True
     return uni_gcd(p, p.derivative()).is_constant()
 
 
 def squarefree_parts(p: UniPoly) -> "list[UniPoly]":
-    """The nonconstant monic Yun factors a_i of p, in increasing i.
+    """The nonconstant monic Yun factors a_i of p, in increasing i (``yun_factors`` without i)."""
+    return [a for a, _ in yun_factors(p)]
+
+
+def yun_factors(p: UniPoly) -> "list[tuple[UniPoly, int]]":
+    """The pairs (a_i, i) for the nonconstant monic Yun factors a_i of p, in increasing i.
 
     p = c * prod a_i^i with a_i squarefree and pairwise coprime: a_i is the
     product of the irreducible factors of multiplicity exactly i.  Yun's
@@ -350,25 +392,30 @@ def squarefree_parts(p: UniPoly) -> "list[UniPoly]":
     factor left in b has multiplicity i, so b is the last factor, and
     otherwise a_i = gcd(b, d), b <- b / a_i and c <- d / a_i.  So it runs
     one gcd of high degree and then one per multiplicity, each against the
-    shrinking squarefree b.
+    shrinking squarefree b.  An irreducible p is its own factor a_1, with
+    no gcd.
     """
     if p.is_zero():
         raise ZeroDivisionError("squarefree parts of the zero polynomial")
     p = p.monic()
     if p.degree < 1:
         return []
+    if _irreducible(p):
+        return [(p, 1)]
     g, b, c = uni_gcd_cofactors(p, p.derivative())
     if g.degree < 1:  # p is squarefree
-        return [p]
+        return [(p, 1)]
     parts = []
+    i = 1
     while b.degree > 0:
         d = c - b.derivative()
         if d.is_zero():
-            parts.append(b)
+            parts.append((b, i))
             break
         a, b, c = uni_gcd_cofactors(b, d)
         if a.degree > 0:
-            parts.append(a)
+            parts.append((a, i))
+        i += 1
     return parts
 
 

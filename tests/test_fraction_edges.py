@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from torigcd import kernel
 from torigcd.multipoly import MultiPoly, format_multipoly
 from torigcd.ratfunc import RationalFunction, coprime_basis
-from torigcd.unipoly import ONE, ZERO, UniPoly, uni_gcd_cofactors
+from torigcd.unipoly import ONE, ZERO, UniPoly, _canon, uni_gcd_cofactors
 
 
 def _lc(p: UniPoly) -> Fraction:
@@ -96,6 +97,32 @@ def test_reduction_matches_the_fraction_route():
         shapes.add((num.is_zero(), num.is_constant(), den.ints[-1] < 0, den.ints[-1] == den.den))
     # zero and constant numerators, negative and non-monic denominators all occur
     assert len(shapes) >= 5
+
+
+def reduce_by_two_canons(num: UniPoly, den: UniPoly) -> "tuple[UniPoly, UniPoly]":
+    """The reduction that always rebuilds both sides from the kernel's cofactors."""
+    if num.is_zero():
+        return ZERO, ONE
+    _, a, b = kernel.gcd_cofactors(num.ints, den.ints)
+    lb = b[-1]
+    return _canon([x * den.den for x in a], num.den * lb), _canon(b, lb)
+
+
+def test_reduction_keeps_coprime_monic_pairs():
+    # a pair the kernel finds coprime over a monic den is kept as given; every
+    # pair, kept or rebuilt, is the one the two-_canon route gives
+    kept = rebuilt = 0
+    for num, den in _pairs(3, 400) + [(num, den.monic()) for num, den in _pairs(4, 400)]:
+        f = RationalFunction(num, den)
+        expected = reduce_by_two_canons(num, den)
+        assert ((f.num.ints, f.num.den), (f.den.ints, f.den.den)) == tuple((p.ints, p.den) for p in expected)
+        coprime = len(kernel.gcd_cofactors(num.ints, den.ints)[0]) == 1
+        if not num.is_zero() and coprime and den.ints[-1] == den.den:
+            assert f.num is num and f.den is den
+            kept += 1
+        else:
+            rebuilt += 1
+    assert kept >= 100 and rebuilt >= 100, (kept, rebuilt)
 
 
 def test_constructors_build_the_canonical_pairs():

@@ -373,3 +373,29 @@ def test_linear_polynomials_are_squarefree(monkeypatch):
 
     monkeypatch.setattr(unipoly, "uni_gcd", no_gcd)
     assert all(unipoly.is_squarefree(p) for p in linear)
+
+
+def test_irreducible_quadratics_are_squarefree(monkeypatch):
+    # a quadratic with a non-square discriminant (of either sign) is
+    # squarefree, and a place, without a gcd; the gcd route agrees
+    from torigcd.ratfunc import Place
+
+    rng = random.Random(421)
+    quadratics = []
+    while len(quadratics) < 60:
+        c = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(2)]
+        p = unipoly.UniPoly(c + [Fraction(rng.choice([-5, -1, 1, 2, 3]), rng.randint(1, 7))])
+        disc = c[1] ** 2 - 4 * c[0] * p.coeffs[2]
+        n = disc.numerator * disc.denominator  # a square iff disc is
+        if n < 0 or math.isqrt(n) ** 2 != n:
+            quadratics.append(p)
+    assert {p.coeffs[1] ** 2 < 4 * p.coeffs[0] * p.coeffs[2] for p in quadratics} == {True, False}
+    for p in quadratics:
+        assert unipoly._irreducible(p) and unipoly.uni_gcd(p, p.derivative()).is_constant()
+
+    def no_gcd(p, q):
+        raise AssertionError("is_squarefree took a gcd of an irreducible quadratic")
+
+    monkeypatch.setattr(unipoly, "uni_gcd", no_gcd)
+    assert all(unipoly.is_squarefree(p) for p in quadratics)
+    assert all(Place.finite(p).poly == p.monic() for p in quadratics)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from torigcd import ratfunc
 from torigcd.errors import HypothesisError
 from torigcd.parsing import parse_place, parse_ratfunc, parse_unipoly
 from torigcd.randgen import random_ratfunc, random_unipoly
@@ -13,6 +14,7 @@ from torigcd.ratfunc import (
     INFINITY,
     Place,
     RationalFunction,
+    _refine,
     coprime_basis,
     divisor_exponents,
     factor_over_basis,
@@ -20,7 +22,7 @@ from torigcd.ratfunc import (
     place_multiplicity,
     valuation,
 )
-from torigcd.unipoly import ONE, UniPoly, divide_out, uni_gcd
+from torigcd.unipoly import ONE, UniPoly, divide_out, squarefree_parts, uni_gcd, uni_gcd_cofactors
 
 rf = parse_ratfunc
 up = parse_unipoly
@@ -171,6 +173,56 @@ def test_place_multiplicity_matches_the_gcd_route():
                 place_multiplicity(p, const)
 
 
+def _valuation_by_gcd(f, pl):
+    """The valuation with the overlap test on every place, numerator then denominator."""
+    if f.is_zero():
+        raise ZeroDivisionError("valuation of the zero function")
+    if pl.is_infinite():
+        return f.den.degree - f.num.degree
+    return _multiplicity_by_gcd(f.num, pl.poly) - _multiplicity_by_gcd(f.den, pl.poly)
+
+
+def test_valuation_matches_the_gcd_route():
+    # linear places with a non-unit leading coefficient (as given, and as a
+    # monic place), the place z, an irreducible quadratic, and reducible
+    # places whose factors enter the numerator or the denominator (or both,
+    # before reduction) to different powers: a partial overlap must raise
+    # the same HypothesisError, from the same side, as the gcd route
+    rng = random.Random(433)
+    z = up("z")
+    places = [
+        [up("3*z-2")],
+        [up("-5*z+1")],
+        [up("2*z+7")],
+        [z],
+        [up("z^2+z+1")],
+        [z, up("z-1")],
+        [up("2*z+1"), up("z+3")],
+        [z, up("z^2+2")],
+    ]
+    outcomes = {"positive": 0, "negative": 0, "zero": 0, "num overlap": 0, "den overlap": 0}
+    for _ in range(400):
+        fs = rng.choice(places)
+        place = math.prod(fs, start=ONE) * rng.choice([1, -3, Fraction(2, 5)])
+        num = random_unipoly(rng, 2, nonzero=True)
+        den = random_unipoly(rng, 2, nonzero=True)
+        for f in fs:
+            num = num * f ** rng.choice([0, 0, 1, 2])
+            den = den * f ** rng.choice([0, 0, 1, 3])
+        f = RationalFunction(num, den)
+        ours = _outcome(place_multiplicity, f.num, place), _outcome(place_multiplicity, f.den, place)
+        assert ours == (_outcome(_multiplicity_by_gcd, f.num, place), _outcome(_multiplicity_by_gcd, f.den, place))
+        pl = Place.finite(place)
+        got = _outcome(valuation, f, pl)
+        assert got == _outcome(_valuation_by_gcd, f, pl), (f, pl)
+        if isinstance(got, int):
+            outcomes["positive" if got > 0 else "negative" if got < 0 else "zero"] += 1
+        else:
+            assert got[0] is HypothesisError
+            outcomes["num overlap" if not isinstance(ours[0], int) else "den overlap"] += 1
+    assert all(outcomes.values()), outcomes
+
+
 def test_valuation_examples():
     assert valuation(rf("(z^2)/(z+1)"), parse_place("z")) == 2
     assert valuation(rf("(z^2)/(z+1)"), INFINITY) == -1
@@ -211,6 +263,124 @@ def test_coprime_basis_properties():
             assert p / Fraction(p.ints[-1], p.den) == prod or p.is_constant()
             if p.is_constant():
                 assert all(e == 0 for e in exps)
+
+
+def _coprime_basis_by_pairs(ps):
+    """The gcd-free basis by a gcd of every pending element with every basis element."""
+    pending = []
+    for p in ps:
+        if p.is_zero():
+            raise ZeroDivisionError("coprime_basis with a zero input")
+        if p.degree >= 1:
+            pending.extend(squarefree_parts(p))
+    basis = []
+    while pending:
+        p = pending.pop()
+        if p.degree < 1:
+            continue
+        for i, b in enumerate(basis):
+            g, p_over_g, b_over_g = uni_gcd_cofactors(p, b)
+            if g.degree >= 1:
+                basis.pop(i)
+                pending.extend((g, b_over_g, p_over_g))
+                break
+        else:
+            basis.append(p)
+    common = math.lcm(*(q.den for q in basis))
+    basis.sort(key=lambda q: (q.degree, tuple(c * (common // q.den) for c in q.ints)))
+    return tuple(basis)
+
+
+def _factor_over_basis_by_division(p, basis):
+    """Exponents of p by dividing out every basis element."""
+    if p.is_zero():
+        raise ZeroDivisionError("factoring the zero polynomial")
+    exps = []
+    for b in basis:
+        e, p = divide_out(p, b)
+        exps.append(e)
+    if not p.is_constant():
+        raise ValueError("input does not factor over the given basis")
+    return exps
+
+
+def _refinement_family(rng):
+    """Inputs with rational, repeated, shared, non-monic and quadratic factors, and constants."""
+    linear = [up(f"z+{a}") * c for a in (-2, 0, 1, Fraction(1, 3)) for c in (1, -2, Fraction(3, 5))]
+    quadratic = [up("z^2+1"), up("z^2-2"), up("3*z^2+z+1"), up("z^2-1"), up("2*z^2-3*z+1")]
+    ps = []
+    for _ in range(rng.randint(1, 5)):
+        p = UniPoly.constant(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 7])))
+        if rng.random() < 0.5:
+            p = p * random_unipoly(rng, 3, nonzero=True)
+        for _ in range(rng.randint(0, 3)):
+            p = p * rng.choice(linear + quadratic) ** rng.randint(1, 4)
+        if ps and rng.random() < 0.3:
+            p = p * rng.choice(ps)
+        ps.append(p)
+    return ps
+
+
+def test_refinement_matches_the_pairwise_basis_and_division():
+    # byte-identical bases, and the carried exponents of every input are
+    # what dividing it by every element gives
+    rng = random.Random(1201)
+    seen = {"irreducible quadratic": 0, "composite": 0, "repeated": 0}
+    for _ in range(600):
+        ps = _refinement_family(rng)
+        refined = _refine(ps)
+        basis = coprime_basis(ps)
+        expected = _coprime_basis_by_pairs(ps)
+        assert [(b.ints, b.den) for b in basis] == [(b.ints, b.den) for b in expected], ps
+        assert tuple(b for b, _ in refined) == basis
+        for j, p in enumerate(ps):
+            carried = [e.get(j, 0) for _, e in refined]
+            assert carried == _factor_over_basis_by_division(p, basis), (ps, j)
+            assert factor_over_basis(p, basis) == carried
+            seen["repeated"] += any(x > 1 for x in carried)
+        for b, e in refined:
+            assert all(x >= 1 for x in e.values())
+            seen["irreducible quadratic"] += ratfunc._irreducible(b) and b.degree == 2
+            seen["composite"] += not ratfunc._irreducible(b)
+    assert all(seen.values()), seen
+
+
+def test_refinement_of_irreducible_inputs_takes_no_gcd(monkeypatch):
+    # distinct linear and irreducible quadratic inputs are coprime without a gcd
+    ps = [up(f"z+{i}") * (i + 1) for i in range(1, 60)] + [up("z^2+1"), up("z^2-2"), up("z+1")]
+    expected = _coprime_basis_by_pairs(ps)
+
+    def no_gcd(p, q):
+        raise AssertionError("factor refinement took a gcd of irreducible elements")
+
+    monkeypatch.setattr(ratfunc, "uni_gcd_cofactors", no_gcd)
+    monkeypatch.setattr(ratfunc, "uni_gcd", no_gcd)
+    assert coprime_basis(ps) == expected
+    refined = _refine(ps)
+    assert refined[0] == (up("z+1"), {0: 1, len(ps) - 1: 1})
+
+
+def test_factor_over_basis_stops_at_a_constant_rest(monkeypatch):
+    basis = coprime_basis([up("z-1"), up("z+2"), up("z^2+1")])
+    assert basis == (up("z-1"), up("z+2"), up("z^2+1"))
+    calls = []
+
+    def counting(p, q):
+        calls.append(q)
+        return divide_out(p, q)
+
+    monkeypatch.setattr(ratfunc, "divide_out", counting)
+    for p in (up("3"), up("-1/2")):
+        assert factor_over_basis(p, basis) == [0, 0, 0]
+        assert factor_over_basis(p, []) == []
+    assert calls == []
+    # the rest is constant after the second element, so the third is not tried
+    assert factor_over_basis(up("-2*(z+2)^2"), basis) == [0, 2, 0]
+    assert calls == list(basis[:2])
+    with pytest.raises(ValueError, match="does not factor"):
+        factor_over_basis(up("(z+2)*(z-5)"), basis)
+    with pytest.raises(ZeroDivisionError):
+        factor_over_basis(up("0"), basis)
 
 
 def test_principal_divisor_has_degree_zero():
