@@ -407,18 +407,13 @@ def coprime_basis(ps: Sequence[UniPoly]) -> "tuple[UniPoly, ...]":
 
 
 def factor_over_basis(p: UniPoly, basis: Sequence[UniPoly]) -> "list[int]":
-    """Exponents of p over a gcd-free basis; errors if a factor is missing.
-
-    A constant p has exponent 0 everywhere, and the division stops once the
-    rest is constant; a nonconstant rest raises ``ValueError``.
-    """
+    """Exponents of p over a gcd-free basis; errors if a factor is missing."""
     if p.is_zero():
         raise ZeroDivisionError("factoring the zero polynomial")
-    exps = [0] * len(basis)
-    for k, b in enumerate(basis):
-        if p.is_constant():
-            break
-        exps[k], p = divide_out(p, b)
+    exps = []
+    for b in basis:
+        e, p = divide_out(p, b)
+        exps.append(e)
     if not p.is_constant():
         raise ValueError("input does not factor over the given basis")
     return exps

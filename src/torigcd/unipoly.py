@@ -188,12 +188,7 @@ class UniPoly:
             return Fraction(0)
         x = Fraction(x)
         n, d = x.numerator, x.denominator
-        # Horner on d^deg * p(n/d): dk runs through the powers of d
-        acc, dk = 0, 1
-        for c in reversed(self.ints):
-            acc = acc * n + c * dk
-            dk *= d
-        return Fraction(acc, self.den * (dk // d))
+        return Fraction(_homogeneous_value(self.ints, n, d), self.den * d**self.degree)
 
     def __repr__(self) -> str:
         return f"UniPoly({list(self.coeffs)!r})"
@@ -333,7 +328,7 @@ def _strip(a: "Sequence[int]", b: "Sequence[int]") -> "tuple[int, Sequence[int]]
     powers of b1, costs no quotient list when it does not.
     """
     e = 0
-    while len(b) != 2 or _vanishes_at(a, -b[0], b[1]):
+    while len(b) != 2 or _homogeneous_value(a, -b[0], b[1]) == 0:
         quot = kernel.exact_quotient(a, b)
         if quot is None:
             break
@@ -342,13 +337,14 @@ def _strip(a: "Sequence[int]", b: "Sequence[int]") -> "tuple[int, Sequence[int]]
     return e, a
 
 
-def _vanishes_at(a: "Sequence[int]", n: int, d: int) -> bool:
-    """Whether the integer polynomial a vanishes at n/d (d nonzero): d^deg(a) * a(n/d) = 0."""
+def _homogeneous_value(a: "Sequence[int]", n: int, d: int) -> int:
+    """d^deg(a) * a(n/d) for a nonzero integer polynomial a, by Horner on integers."""
+    # dk runs through the powers of d
     acc, dk = 0, 1
     for c in reversed(a):
         acc = acc * n + c * dk
         dk *= d
-    return acc == 0
+    return acc
 
 
 def _irreducible(q: UniPoly) -> bool:
@@ -375,11 +371,6 @@ def is_squarefree(p: UniPoly) -> bool:
     if _irreducible(p):
         return True
     return uni_gcd(p, p.derivative()).is_constant()
-
-
-def squarefree_parts(p: UniPoly) -> "list[UniPoly]":
-    """The nonconstant monic Yun factors a_i of p, in increasing i (``yun_factors`` without i)."""
-    return [a for a, _ in yun_factors(p)]
 
 
 def yun_factors(p: UniPoly) -> "list[tuple[UniPoly, int]]":

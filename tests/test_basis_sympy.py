@@ -1,7 +1,7 @@
 """Squarefree parts and gcd-free bases against sympy as an independent oracle.
 
-``squarefree_parts`` must return sympy's ``Poly.sqf_list`` factors, made
-monic, in increasing multiplicity.  Every ``coprime_basis`` element must be
+``yun_factors`` must return sympy's ``Poly.sqf_list`` factors, made monic,
+with their multiplicities, in increasing multiplicity.  Every ``coprime_basis`` element must be
 monic and squarefree, the elements pairwise coprime by sympy's ``gcd``, and
 each irreducible factor (sympy's ``factor_list``) of each input must divide
 exactly one element.  The inputs are seeded products of small factors,
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from torigcd.ratfunc import coprime_basis
-from torigcd.unipoly import UniPoly, squarefree_parts
+from torigcd.unipoly import UniPoly, yun_factors
 
 sympy = pytest.importorskip("sympy")
 z = sympy.Symbol("z")
@@ -50,8 +50,8 @@ def test_squarefree_parts_match_sqf_list():
     for _ in range(300):
         p = random_product(rng)
         _, factors = to_sympy(p).sqf_list()
-        expected = [f.monic() for f, _ in sorted(factors, key=lambda fk: fk[1])]
-        assert [to_sympy(a) for a in squarefree_parts(p)] == expected
+        expected = [(f.monic(), k) for f, k in sorted(factors, key=lambda fk: fk[1])]
+        assert [(to_sympy(a), i) for a, i in yun_factors(p)] == expected
 
 
 def test_coprime_basis_against_sympy_factorization():

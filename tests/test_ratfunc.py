@@ -22,7 +22,7 @@ from torigcd.ratfunc import (
     place_multiplicity,
     valuation,
 )
-from torigcd.unipoly import ONE, UniPoly, divide_out, squarefree_parts, uni_gcd, uni_gcd_cofactors
+from torigcd.unipoly import ONE, UniPoly, divide_out, uni_gcd, uni_gcd_cofactors, yun_factors
 
 rf = parse_ratfunc
 up = parse_unipoly
@@ -272,7 +272,7 @@ def _coprime_basis_by_pairs(ps):
         if p.is_zero():
             raise ZeroDivisionError("coprime_basis with a zero input")
         if p.degree >= 1:
-            pending.extend(squarefree_parts(p))
+            pending.extend(a for a, _ in yun_factors(p))
     basis = []
     while pending:
         p = pending.pop()
@@ -358,29 +358,6 @@ def test_refinement_of_irreducible_inputs_takes_no_gcd(monkeypatch):
     assert coprime_basis(ps) == expected
     refined = _refine(ps)
     assert refined[0] == (up("z+1"), {0: 1, len(ps) - 1: 1})
-
-
-def test_factor_over_basis_stops_at_a_constant_rest(monkeypatch):
-    basis = coprime_basis([up("z-1"), up("z+2"), up("z^2+1")])
-    assert basis == (up("z-1"), up("z+2"), up("z^2+1"))
-    calls = []
-
-    def counting(p, q):
-        calls.append(q)
-        return divide_out(p, q)
-
-    monkeypatch.setattr(ratfunc, "divide_out", counting)
-    for p in (up("3"), up("-1/2")):
-        assert factor_over_basis(p, basis) == [0, 0, 0]
-        assert factor_over_basis(p, []) == []
-    assert calls == []
-    # the rest is constant after the second element, so the third is not tried
-    assert factor_over_basis(up("-2*(z+2)^2"), basis) == [0, 2, 0]
-    assert calls == list(basis[:2])
-    with pytest.raises(ValueError, match="does not factor"):
-        factor_over_basis(up("(z+2)*(z-5)"), basis)
-    with pytest.raises(ZeroDivisionError):
-        factor_over_basis(up("0"), basis)
 
 
 def test_principal_divisor_has_degree_zero():
